@@ -42,6 +42,7 @@ import (
 
 	mbe "repro"
 	"repro/internal/ckpt"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/spool"
 )
@@ -59,7 +60,7 @@ func main() {
 		dataset   = flag.String("d", "", "built-in synthetic dataset name (e.g. GH, BX, ceb, LJ30)")
 		algo      = flag.String("a", "AdaMBE", "algorithm: "+strings.Join(mbe.AlgorithmNames, "|"))
 		threads   = flag.Int("t", 0, "threads for parallel algorithms (0 = all cores)")
-		tau       = flag.Int("tau", 0, "bitmap threshold τ (0 = 64)")
+		tau       = flag.Int("tau", 0, fmt.Sprintf("bitmap threshold τ (0 = core.DefaultTau = %d)", core.DefaultTau))
 		ord       = flag.String("o", "asc", "vertex ordering for the AdaMBE family: asc|rand|uc|none")
 		seed      = flag.Int64("seed", 0, "seed for -o rand")
 		tle       = flag.Duration("tle", 0, "time budget (0 = unlimited); partial count reported on expiry")

@@ -31,8 +31,8 @@ func main() {
 
 	fmt.Printf("graph: %s\n\n", g.Stats())
 
-	// Enumerate with the default algorithm (serial AdaMBE, τ = 64,
-	// ascending-degree ordering). The callback's slices are reused by the
+	// Enumerate with the default algorithm (serial AdaMBE, τ =
+	// core.DefaultTau = 256, ascending-degree ordering). The callback's slices are reused by the
 	// engine — copy them if you keep them.
 	var found int
 	res, err := mbe.Enumerate(g, mbe.Options{

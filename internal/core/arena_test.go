@@ -82,8 +82,12 @@ func TestArenaDetachRoundTrip(t *testing.T) {
 func TestArenaParallelRecycling(t *testing.T) {
 	// Dense uniform: thousands of spawn offers, so every run sustains
 	// enough spawning for workers to re-spawn after recycling.
+	// τ = 64 keeps the LN procedure above the bitmap boundary on this
+	// fixture, so spawns happen at the LN level the arena serves; at the
+	// default τ every root subtree is already a bitmap.
 	g := gen.Uniform(7, 500, 180, 14000)
-	want, _, err := CollectKeys(g, Options{Variant: Ada})
+	const tau = 64
+	want, _, err := CollectKeys(g, Options{Variant: Ada, Tau: tau})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +98,7 @@ func TestArenaParallelRecycling(t *testing.T) {
 		var total Metrics
 		for rep := 0; rep < 3; rep++ {
 			var m Metrics
-			got, res, err := CollectKeys(g, Options{Variant: Ada, Threads: threads, Metrics: &m})
+			got, res, err := CollectKeys(g, Options{Variant: Ada, Tau: tau, Threads: threads, Metrics: &m})
 			if err != nil {
 				t.Fatalf("threads=%d: %v", threads, err)
 			}

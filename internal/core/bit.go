@@ -8,8 +8,10 @@ import (
 
 // bitCG is a bitmap-represented computational subgraph (§III-B): one
 // fixed-width bit mask per live V-side vertex, each bit addressing a member
-// of the L* set at bitmap-creation time. With the default τ = 64 every mask
-// is a single uint64 and each intersection is one AND, as in the paper.
+// of the L* set at bitmap-creation time. A CG with |L*| ≤ 64 has one-word
+// masks and each intersection is one AND, as in the paper; up to
+// 64·bitset.SmallStrideMax bits the unrolled multi-word kernels keep an
+// intersection nearly as cheap.
 // A bitCG is created once at a node with |L*| ≤ τ, C* ≠ ∅ and reused by
 // the entire subtree. Bitmap subtrees never nest, so each engine owns a
 // single bitCG whose storage is recycled across creations (reset), keeping
@@ -210,22 +212,12 @@ func (e *engine) buildBitCGGlobal(L, R, cand []int32) *bitCG {
 
 // searchBitRoot seeds the bitwise procedure over a freshly built bitmap CG:
 // L = all of L*, candidates and excluded vertices as laid out by the
-// builder. The overwhelmingly common case — τ ≤ 64, every mask one machine
-// word — dispatches to the scalar specialization searchBit1, realizing the
-// paper's "each set intersection is a single bitwise AND between two
-// 64-bit integers". Wider masks (τ up to 64·bitset.SmallStrideMax on the
-// unrolled kernels, beyond that on a generic word loop) run searchBitPacked
-// over the CG's packed mask storage.
+// builder. One-word CGs (|L*| ≤ 64) dispatch to the scalar specialization
+// searchBit1, realizing the paper's "each set intersection is a single
+// bitwise AND between two 64-bit integers". Wider masks (τ up to
+// 64·bitset.SmallStrideMax on the unrolled kernels, beyond that on a
+// generic word loop) run searchBitPacked over the CG's packed mask storage.
 func (e *engine) searchBitRoot(cg *bitCG, R []int32) {
-	mark := e.ids.Mark()
-	cand := e.ids.Alloc(cg.nCand)
-	for i := range cand {
-		cand[i] = int32(i)
-	}
-	excl := e.ids.Alloc(len(cg.vids) - cg.nCand)
-	for i := range excl {
-		excl[i] = int32(cg.nCand + i)
-	}
 	t0, timed := e.enterSmallTimer(len(cg.lids))
 	if cg.width == 1 {
 		var root uint64
@@ -234,8 +226,20 @@ func (e *engine) searchBitRoot(cg *bitCG, R []int32) {
 		} else {
 			root = (1 << uint(n)) - 1
 		}
-		e.searchBit1(cg, root, R, cand, excl)
+		// The builder's storage is already laid out as searchBit1 carries
+		// it: candidate V ids with their masks first, then the excluded
+		// masks.
+		e.searchBit1(cg, root, R, cg.vids[:cg.nCand], cg.masks[:cg.nCand], cg.masks[cg.nCand:])
 	} else {
+		mark := e.ids.Mark()
+		cand := e.ids.Alloc(cg.nCand)
+		for i := range cand {
+			cand[i] = int32(i)
+		}
+		excl := e.ids.Alloc(len(cg.vids) - cg.nCand)
+		for i := range excl {
+			excl[i] = int32(cg.nCand + i)
+		}
 		if cap(cg.rootBuf) < cg.width {
 			cg.charged(cap(cg.rootBuf), cg.width)
 			cg.rootBuf = make([]uint64, cg.width)
@@ -243,24 +247,30 @@ func (e *engine) searchBitRoot(cg *bitCG, R []int32) {
 		root := bitset.Mask(cg.rootBuf[:cg.width])
 		root.FillLow(len(cg.lids))
 		e.searchBitPacked(cg, 0, root, R, cand, excl)
+		e.ids.Release(mark)
 	}
 	e.exitSmallTimer(t0, timed)
-	e.ids.Release(mark)
 }
 
-// searchBit1 is searchBit specialized to one-word masks: every mask is a
-// plain uint64 indexed directly in cg.masks, set intersection is a single
-// AND, the subset test a single AND+CMP, and L_q lives in a register.
-func (e *engine) searchBit1(cg *bitCG, lp uint64, R []int32, cand, excl []int32) {
+// searchBit1 is the bitwise procedure specialized to one-word masks, with
+// every mask carried by value rather than gathered through a CG index:
+// cand holds the candidates' V ids and cm their masks (parallel arrays),
+// xm the excluded set's masks (excluded ids are never read). Set
+// intersection is a single AND, the subset test a single AND+CMP, and L_q
+// lives in a register. Each child receives its candidate and excluded
+// masks already ANDed with its L_q and filtered to the non-empty ones, so
+// its loops stream contiguous words from e.words. Because L_child ⊆ L_q,
+// the pre-ANDed masks answer every later AND and subset test exactly as
+// the raw ones would.
+func (e *engine) searchBit1(cg *bitCG, lp uint64, R []int32, cand []int32, cm, xm []uint64) {
 	if e.stop.Stopped() {
 		return
 	}
-	masks := cg.masks
 	for i := 0; i < len(cand); i++ {
 		if e.stop.Hit() {
 			return
 		}
-		lq := lp & masks[cand[i]]
+		lq := lp & cm[i]
 		if e.collect {
 			e.metrics.SetIntersections++
 		}
@@ -269,25 +279,24 @@ func (e *engine) searchBit1(cg *bitCG, lp uint64, R []int32, cand, excl []int32)
 		}
 
 		// Node check against the excluded set and the traversed prefix.
+		// SetIntersections counts one op per mask inspected.
 		maximal := true
-		for _, xk := range excl {
+		if at := firstSuperset1(lq, xm); at >= 0 {
+			maximal = false
 			if e.collect {
-				e.metrics.SetIntersections++
+				e.metrics.SetIntersections += int64(at + 1)
 			}
-			if lq&^masks[xk] == 0 { // lq ⊆ mask(xk)
+		} else {
+			if e.collect {
+				e.metrics.SetIntersections += int64(len(xm))
+			}
+			if at := firstSuperset1(lq, cm[:i]); at >= 0 {
 				maximal = false
-				break
-			}
-		}
-		if maximal {
-			for _, xk := range cand[:i] {
 				if e.collect {
-					e.metrics.SetIntersections++
+					e.metrics.SetIntersections += int64(at + 1)
 				}
-				if lq&^masks[xk] == 0 {
-					maximal = false
-					break
-				}
+			} else if e.collect {
+				e.metrics.SetIntersections += int64(i)
 			}
 		}
 		e.probe.NodeBit()
@@ -301,40 +310,44 @@ func (e *engine) searchBit1(cg *bitCG, lp uint64, R []int32, cand, excl []int32)
 			continue
 		}
 
-		// Node generation.
-		mark := e.ids.Mark()
+		// Node generation: one ids block for R_q and C_q's ids, one words
+		// block for C_q's and the child excluded set's masks.
+		idMark := e.ids.Mark()
+		wordMark := e.words.Mark()
 		rem := len(cand) - i - 1
-		rq := e.ids.Alloc(len(R) + 1 + rem)
+		nrCap := len(R) + 1 + rem
+		ids := e.ids.Alloc(nrCap + rem)
+		rq, cq := ids[:nrCap], ids[nrCap:]
 		nr := copy(rq, R)
-		rq[nr] = cg.vids[cand[i]]
+		rq[nr] = cand[i]
 		nr++
-		cq := e.ids.Alloc(rem)
+		words := e.words.Alloc(rem + len(xm) + i)
+		cqm, xq := words[:rem], words[rem:]
 		nc := 0
-		for _, wk := range cand[i+1:] {
-			mw := masks[wk]
-			if e.collect {
-				e.metrics.SetIntersections++
-			}
-			switch and := lq & mw; {
-			case and == lq: // lq ⊆ mw
-				rq[nr] = cg.vids[wk]
+		if e.collect {
+			e.metrics.SetIntersections += int64(rem)
+		}
+		for j := i + 1; j < len(cand); j++ {
+			switch and := lq & cm[j]; {
+			case and == lq: // lq ⊆ mask(cand[j])
+				rq[nr] = cand[j]
 				nr++
 			case and != 0:
-				cq[nc] = wk
+				cq[nc] = cand[j]
+				cqm[nc] = and
 				nc++
 			}
 		}
-		exq := e.ids.Alloc(len(excl) + i)
 		nx := 0
-		for _, xk := range excl {
-			if lq&masks[xk] != 0 {
-				exq[nx] = xk
+		for _, x := range xm {
+			if and := lq & x; and != 0 {
+				xq[nx] = and
 				nx++
 			}
 		}
-		for _, xk := range cand[:i] {
-			if lq&masks[xk] != 0 {
-				exq[nx] = xk
+		for _, x := range cm[:i] {
+			if and := lq & x; and != 0 {
+				xq[nx] = and
 				nx++
 			}
 		}
@@ -345,10 +358,22 @@ func (e *engine) searchBit1(cg *bitCG, lp uint64, R []int32, cand, excl []int32)
 		}
 		e.emitBit1(cg, lq, rq[:nr])
 		if nc > 0 && (e.skipSubtree == nil || !e.skipSubtree(bits.OnesCount64(lq), nr, nc)) {
-			e.searchBit1(cg, lq, rq[:nr], cq[:nc], exq[:nx])
+			e.searchBit1(cg, lq, rq[:nr], cq[:nc], cqm[:nc], xq[:nx])
 		}
-		e.ids.Release(mark)
+		e.words.Release(wordMark)
+		e.ids.Release(idMark)
 	}
+}
+
+// firstSuperset1 returns the index of the first mask in ms that contains
+// every bit of lq, or -1.
+func firstSuperset1(lq uint64, ms []uint64) int {
+	for k, m := range ms {
+		if lq&^m == 0 {
+			return k
+		}
+	}
+	return -1
 }
 
 // emitBit1 is emitBit for one-word L masks.

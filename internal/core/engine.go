@@ -59,6 +59,9 @@ type engine struct {
 
 	ids  slab[int32]   // vertex-id and offset scratch
 	hdrs slab[[]int32] // slice-header scratch for local-neighborhood lists
+	// words holds the one-word bitmap procedure's candidate and excluded
+	// masks (see searchBit1); marked and released together with ids.
+	words slab[uint64]
 
 	// Epoch-stamped scratch maps (see stamp.go semantics below): value is
 	// valid only when the matching mark equals the current epoch.
@@ -118,6 +121,7 @@ func newEngine(g *graph.Bipartite, opts Options, shared *tle.Shared, wid int) *e
 	e.padBits = opts.PadBitmaps
 	e.ids.OnGrow = e.chargeMem
 	e.hdrs.OnGrow = e.chargeMem
+	e.words.OnGrow = e.chargeMem
 	e.cg.charge = e.chargeMem
 	e.uMark = make([]int32, g.NU())
 	e.uVal = make([]int32, g.NU())

@@ -164,4 +164,3 @@ func (e *engine) searchLN(L, R []int32, candIDs []int32, candNbrs [][]int32, exc
 		e.hdrs.Release(hdrMark)
 	}
 }
-

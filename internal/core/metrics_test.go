@@ -6,7 +6,9 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/datasets"
 	"repro/internal/graph"
+	"repro/internal/order"
 )
 
 func TestMetricsBaselineCountsOutsideAccesses(t *testing.T) {
@@ -288,5 +290,35 @@ func TestQuickTauInvariance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBitWorkCountersGoldenGH pins the work the one-word bitwise procedure
+// does at the paper's τ on the GH dataset (ascending order). The golden
+// values were recorded with the index-gathering searchBit1 that the
+// by-value mask kernel replaced, so any drift means the kernel visits,
+// prunes or intersects differently, not just faster.
+func TestBitWorkCountersGoldenGH(t *testing.T) {
+	s, _ := datasets.ByName("GH")
+	g := order.Apply(s.Build(), order.DegreeAscending, 0)
+	var m Metrics
+	res, err := Enumerate(g, Options{Variant: Ada, Tau: PaperTau, Metrics: &m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"Count", res.Count, 350112},
+		{"NodesGenerated", m.NodesGenerated, 8763050},
+		{"NodesMaximal", m.NodesMaximal, 350112},
+		{"NodesNonMaximal", m.NodesNonMaximal, 8412938},
+		{"NodesPruned", m.NodesPruned, 78309},
+		{"SetIntersections", m.SetIntersections, 226047556},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/tle"
@@ -58,9 +59,17 @@ func (v Variant) String() string {
 // harness iterates this to cover the whole AdaMBE family.
 func Variants() []Variant { return []Variant{Baseline, LN, BIT, Ada} }
 
-// DefaultTau is the paper's default bitmap threshold τ (§III-B: one 64-bit
-// word per set intersection).
-const DefaultTau = 64
+// DefaultTau is the bitmap threshold τ used when Options.Tau is 0: the
+// widest mask the unrolled multi-word kernels cover (4 words). Any node
+// with |L| ≤ DefaultTau is promoted to the bitwise procedure, where an
+// intersection of up to 256 bits costs about as much as the paper's single
+// 64-bit AND.
+const DefaultTau = 64 * bitset.SmallStrideMax
+
+// PaperTau is the paper's bitmap threshold τ (§III-B: one 64-bit word per
+// set intersection). The figure reproductions run at it so they keep the
+// paper's configuration.
+const PaperTau = 64
 
 // MaxTau bounds configurable τ; masks are ⌈τ/64⌉ words.
 const MaxTau = 4096

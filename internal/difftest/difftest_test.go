@@ -77,16 +77,17 @@ func TestSweepAgreesWithBruteForce(t *testing.T) {
 	}
 }
 
-// TestSweepTauBoundaries extends the acceptance sweep to the multi-word
-// bitmap thresholds: τ at the 2- and 4-word mask boundaries, across the
-// full engine × ordering matrix at 1/4/8 threads. The "dense" fixture has
+// TestSweepTauBoundaries extends the acceptance sweep to the bitmap
+// thresholds: the paper's one-word τ and the 2- and 4-word mask
+// boundaries (4 words is the default), across the full engine × ordering
+// matrix at 1/4/8 threads. The "dense" fixture has
 // V-degrees ≈ 150 so τ = 128/256 promotions genuinely build 2–3-word
 // masks; its digest is additionally anchored to the brute-force oracle.
 func TestSweepTauBoundaries(t *testing.T) {
 	dense := gen.Uniform(401, 340, 12, 1800)
 	graphs := quickFamilies(t)
 	graphs["dense"] = dense
-	for _, tau := range []int{128, 256} {
+	for _, tau := range []int{core.PaperTau, 128, 256} {
 		configs := Matrix(MatrixOpts{Threads: []int{1, 4, 8}, Seed: 17, Tau: tau})
 		for name, g := range graphs {
 			t.Run(fmt.Sprintf("tau=%d/%s", tau, name), func(t *testing.T) {
@@ -274,5 +275,39 @@ func TestRunRejectsIncompleteRuns(t *testing.T) {
 	res, err := core.Enumerate(g, core.Options{Variant: core.Ada, OnBiclique: d.Observe})
 	if err != nil || res.StopReason != core.StopNone {
 		t.Fatalf("sanity: %v %v", res.StopReason, err)
+	}
+}
+
+// fastRegistry lists the registry datasets whose serial AdaMBE run takes
+// under a second at the default τ (measured on a 2-vCPU x86-64 VM; GH,
+// LJ50 and the large sets take longer).
+var fastRegistry = []string{
+	"UL", "UF", "Mti", "TM", "AM", "WC", "YG", "SO", "Pa", "IM", "BX",
+	"LJ10", "LJ20", "LJ30", "LJ40",
+}
+
+// TestDefaultTauMatchesPaperTau: raising the default τ only moves the
+// LN→BIT boundary, so on every fast registry dataset the default-τ
+// digest must equal the digest at the paper's τ = 64.
+func TestDefaultTauMatchesPaperTau(t *testing.T) {
+	for _, name := range fastRegistry {
+		t.Run(name, func(t *testing.T) {
+			s, ok := datasets.ByName(name)
+			if !ok {
+				t.Fatalf("dataset %s missing from registry", name)
+			}
+			g := s.Build()
+			paper, err := Run(g, Config{Engine: EngAda, Tau: core.PaperTau})
+			if err != nil {
+				t.Fatal(err)
+			}
+			def, err := Run(g, Config{Engine: EngAda})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !def.Equal(paper) {
+				t.Errorf("default τ digest %s, τ = %d digest %s", def, core.PaperTau, paper)
+			}
+		})
 	}
 }

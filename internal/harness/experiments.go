@@ -351,7 +351,7 @@ func Fig12(cfg Config) error {
 			deadline := time.Now().Add(cfg.tle())
 			start := time.Now()
 			og := order.Apply(g, k, 7)
-			res, err := core.Enumerate(og, core.Options{Variant: core.Ada, Deadline: deadline, Context: cfg.ctx()})
+			res, err := core.Enumerate(og, core.Options{Variant: core.Ada, Tau: core.PaperTau, Deadline: deadline, Context: cfg.ctx()})
 			if err != nil {
 				return err
 			}

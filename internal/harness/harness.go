@@ -188,7 +188,7 @@ func RunAlgorithm(g *graph.Bipartite, algo string, cfg Config, metrics *core.Met
 			threads = cfg.threads()
 		}
 		res, err = core.Enumerate(og, core.Options{
-			Variant: variant, Threads: threads, Deadline: deadline,
+			Variant: variant, Tau: core.PaperTau, Threads: threads, Deadline: deadline,
 			Context: cfg.ctx(), Metrics: metrics,
 		})
 	case AlgoFMBE:

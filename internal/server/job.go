@@ -53,7 +53,7 @@ type JobSpec struct {
 	// Ordering is a mbe.ParseOrdering spelling; Seed feeds "rand".
 	Ordering string `json:"ordering,omitempty"`
 	Seed     int64  `json:"seed,omitempty"`
-	// Tau is the bitmap threshold τ; 0 = 64.
+	// Tau is the bitmap threshold τ; 0 = core.DefaultTau.
 	Tau int `json:"tau,omitempty"`
 	// Threads for ParAdaMBE; 0 = the server's per-job default. A
 	// memory-budget retry halves this.

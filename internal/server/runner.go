@@ -45,17 +45,8 @@ func (s *Server) runJob(j *job) {
 
 	j.mu.Lock()
 	if j.canceled { // canceled while still queued
-		j.m.State = JobCanceled
-		j.m.Error = errJobCanceled.Error()
-		m := j.m
-		waitedMS := msSince(j.enqueuedAt)
 		j.mu.Unlock()
-		s.persist(m)
-		s.met.jobsCompleted.With(string(JobCanceled)).Inc()
-		s.log.Info("job_canceled",
-			"trace_id", m.TraceID, "job_id", m.ID, "from_state", string(JobQueued),
-			"queue_wait_ms", waitedMS)
-		s.finalize(j)
+		s.transition(j, JobCanceled, errJobCanceled, nil)
 		return
 	}
 	j.cancel = cancel
@@ -79,7 +70,6 @@ func (s *Server) runJob(j *job) {
 	g, err := s.store.LoadGraph(j.m.Spec.GraphID)
 	if err != nil {
 		s.fail(j, err)
-		s.finalize(j)
 		return
 	}
 
@@ -104,11 +94,9 @@ func (s *Server) runJob(j *job) {
 			"will_resume", true)
 		return
 	case errors.Is(err, errJobCanceled):
-		s.transition(j, JobCanceled, err)
-		s.finalize(j)
+		s.transition(j, JobCanceled, err, nil)
 	default:
 		s.fail(j, err)
-		s.finalize(j)
 	}
 }
 
@@ -287,66 +275,73 @@ func (s *Server) classifyRetryable(j *job, err error) error {
 // complete transitions the job to done: digest the spool, record the
 // result, publish it to the result cache.
 func (s *Server) complete(j *job, elapsed time.Duration) {
-	spoolDir := s.store.SpoolDir(j.m.ID)
-	d, err := mbe.SpoolDigest(spoolDir)
+	d, err := mbe.SpoolDigest(s.store.SpoolDir(j.m.ID))
 	if err != nil {
 		// A complete run whose spool does not verify is a bug worth
 		// failing loudly over — never serve a corrupt result.
 		s.fail(j, fmt.Errorf("server: spool verification after completion: %w", err))
-		s.finalize(j)
 		return
 	}
-	j.mu.Lock()
-	j.m.State = JobDone
-	j.m.Error = ""
-	j.m.Result = &JobResult{
+	s.transition(j, JobDone, nil, &JobResult{
 		Count:     d.Count,
 		Digest:    d.String(),
 		ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
-	}
-	msRunning := msSince(j.stateSince)
-	m := j.m
-	j.mu.Unlock()
-	s.persist(m)
-	s.cacheMu.Lock()
-	s.cache[m.CacheKey] = m.ID
-	s.cacheMu.Unlock()
-	s.finalize(j)
-	s.met.jobsCompleted.With(string(JobDone)).Inc()
-	s.log.Info("job_done",
-		"trace_id", m.TraceID, "job_id", m.ID, "bicliques", d.Count,
-		"attempts", m.Attempts, "elapsed_ms", m.Result.ElapsedMS,
-		"ms_in_state", msRunning)
+	})
 }
 
 // fail transitions the job to its terminal failed state, error kept.
 func (s *Server) fail(j *job, err error) {
-	s.transition(j, JobFailed, err)
+	s.transition(j, JobFailed, err, nil)
 }
 
-// transition moves the job to a terminal state, persisting the manifest
-// and emitting the terminal metric + structured event in one place.
-func (s *Server) transition(j *job, to JobState, err error) {
+// transition moves the job to a terminal state: it persists the manifest,
+// releases the admission charge, counts the completion, publishes a done
+// job to the result cache and emits the structured event. The in-memory
+// state flips last, so a reader that observes the terminal state (status
+// poll, result stream, cache lookup) always finds the cache, the ledger
+// and the counters already updated — a re-submit right after a done
+// status read is a cache hit, and a /metrics scrape after it reconciles.
+func (s *Server) transition(j *job, to JobState, err error, res *JobResult) {
 	j.mu.Lock()
 	from := j.m.State
-	j.m.State = to
-	if err != nil {
-		j.m.Error = err.Error()
-	}
-	msInState := msSince(j.stateSince)
 	m := j.m
+	msInState := msSince(j.stateSince)
 	j.mu.Unlock()
-	s.persist(m)
-	if to.Terminal() {
-		s.met.jobsCompleted.With(string(to)).Inc()
+	m.State = to
+	m.Error = ""
+	if err != nil {
+		m.Error = err.Error()
 	}
+	m.Result = res
+	s.persist(m)
+	s.finalize(j)
+	s.met.jobsCompleted.With(string(to)).Inc()
+	if s.cfg.FaultHook != nil {
+		_ = s.cfg.FaultHook("server/publish")
+	}
+	// A done job enters the cache and flips its state under cacheMu, so a
+	// cache hit never serves a job that still reads as running either.
+	if to == JobDone {
+		s.cacheMu.Lock()
+		s.cache[m.CacheKey] = m.ID
+	}
+	j.mu.Lock()
+	j.m.State, j.m.Error, j.m.Result = m.State, m.Error, m.Result
+	j.mu.Unlock()
+	if to == JobDone {
+		s.cacheMu.Unlock()
+	}
+
 	ev, level := "job_"+string(to), slog.LevelInfo
 	if to == JobFailed {
 		level = slog.LevelError
 	}
-	s.log.Log(context.Background(), level, ev,
-		"trace_id", m.TraceID, "job_id", m.ID, "from_state", string(from),
-		"attempts", m.Attempts, "ms_in_state", msInState, "err", m.Error)
+	attrs := []any{"trace_id", m.TraceID, "job_id", m.ID, "from_state", string(from),
+		"attempts", m.Attempts, "ms_in_state", msInState, "err", m.Error}
+	if res != nil {
+		attrs = append(attrs, "bicliques", res.Count, "elapsed_ms", res.ElapsedMS)
+	}
+	s.log.Log(context.Background(), level, ev, attrs...)
 }
 
 // finalize releases the job's admission charge exactly once.

@@ -65,8 +65,11 @@ type Config struct {
 	// adapted into one (tests pass t.Logf). Nil both = silent.
 	Logf func(format string, args ...any)
 	// FaultHook is the server-side fault-injection seam (see
-	// internal/faultinject): called at named sites ("server/attempt");
-	// a non-nil return is treated as that site failing.
+	// internal/faultinject): called at named sites. At "server/attempt"
+	// a non-nil return is treated as the attempt failing. At
+	// "server/publish", called after a terminal transition's bookkeeping
+	// and before its state becomes visible, the return is ignored: the
+	// site only lets tests widen that window.
 	FaultHook func(site string) error
 }
 
@@ -255,8 +258,22 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.Handle("GET /metrics", s.met.reg.Handler())
+	mux.HandleFunc("/debug/progress", s.handleDebugProgress)
 	mux.Handle("/debug/", obs.DebugMux())
 	return s.instrument(mux)
+}
+
+// handleDebugProgress serves the live snapshot of the attempt currently
+// running, like obs.DebugMux's /debug/progress, except that an idle
+// daemon answers 200 {"active":false} instead of 404: between attempts
+// (queued jobs, retry backoff) a daemon is healthy, not missing.
+func (s *Server) handleDebugProgress(w http.ResponseWriter, r *http.Request) {
+	rec := obs.Active()
+	if rec == nil {
+		writeJSON(w, http.StatusOK, map[string]bool{"active": false})
+		return
+	}
+	writeJSON(w, http.StatusOK, rec.Snapshot())
 }
 
 // --- HTTP plumbing ---------------------------------------------------

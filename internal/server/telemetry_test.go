@@ -301,3 +301,54 @@ func TestTraceSanitized(t *testing.T) {
 		t.Errorf("hostile trace persisted unsanitized: %q", m.TraceID)
 	}
 }
+
+// TestDoneStatusImpliesBookkeeping: once a status read reports a job
+// done, the result cache, the admission ledger and the completion
+// counter already reflect it. The publish hook stalls every terminal
+// transition between its bookkeeping and the state flip, so a daemon
+// that flipped the state first would fail this on every run.
+func TestDoneStatusImpliesBookkeeping(t *testing.T) {
+	d := startDaemon(t, server.Config{
+		FaultHook: func(site string) error {
+			if site == "server/publish" {
+				time.Sleep(200 * time.Millisecond)
+			}
+			return nil
+		},
+	})
+	id := d.submitGraph(smallGraph())
+	spec := server.JobSpec{GraphID: id, Threads: 1}
+	sub, resp := d.submitJob(spec)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	deadline := time.Now().Add(time.Minute)
+	for {
+		var st struct{ server.Manifest }
+		d.do("GET", "/v1/jobs/"+sub.JobID, nil, &st)
+		if st.State == server.JobDone {
+			break
+		}
+		if st.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("job reached %s (error %q), want done", st.State, st.Error)
+		}
+	}
+	// No pause between the done read and these requests.
+	hit, resp := d.submitJob(spec)
+	if resp.StatusCode != http.StatusOK || !hit.CacheHit || hit.JobID != sub.JobID {
+		t.Fatalf("re-submit after done: status %d %+v, want cache hit on %s", resp.StatusCode, hit, sub.JobID)
+	}
+	if hit.State != server.JobDone || hit.Result == nil {
+		t.Errorf("cache hit served state %s result %+v, want done with a result", hit.State, hit.Result)
+	}
+	m := d.scrapeMetrics()
+	for key, want := range map[string]float64{
+		`mbed_jobs_completed_total{state="done"}`: 1,
+		"mbed_jobs_active":                        0,
+		"mbed_cache_hits_total":                   1,
+	} {
+		if got := m[key]; got != want {
+			t.Errorf("%s = %v right after the done read, want %v", key, got, want)
+		}
+	}
+}

@@ -333,11 +333,12 @@ const (
 var ErrPanic = core.ErrPanic
 
 // Options configures Enumerate. The zero value runs serial AdaMBE with
-// τ = 64 and ascending-degree ordering.
+// τ = core.DefaultTau (256) and ascending-degree ordering.
 type Options struct {
 	// Algorithm to run; default AdaMBE.
 	Algorithm Algorithm
-	// Tau is the bitmap threshold τ (AdaMBE family); 0 = 64.
+	// Tau is the bitmap threshold τ (AdaMBE family); 0 = core.DefaultTau
+	// (256). The paper fixes τ = 64.
 	Tau int
 	// Threads for the parallel algorithms; 0 = GOMAXPROCS.
 	Threads int
