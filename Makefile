@@ -20,11 +20,11 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Hot-path kernel micro-benches only: the batched packed-mask kernels at
-# word widths 1/2/4 (batched vs per-vertex, fused vs two-pass) and the
-# gallop-vs-merge intersection sweep.
+# Hot-path kernel micro-benches only: the contiguous-stride mask kernels
+# at word widths 2–5 (unrolled and generic), fused vs two-pass AND+count,
+# and the gallop-vs-merge intersection sweep.
 bench-kernels:
-	$(GO) test -bench='Packed|MaskAndCount|MaskAndThenCount|IntersectGallop' -benchmem ./internal/bitset ./internal/vset
+	$(GO) test -bench='Stride|MaskAndCount|MaskAndThenCount|IntersectGallop' -benchmem ./internal/bitset ./internal/vset
 
 # Regenerate the checked-in scheduler perf trajectory (serial AdaMBE vs the
 # ParAdaMBE thread sweep, with spawn/steal/inline counters). Fails if any

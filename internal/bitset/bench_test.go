@@ -6,112 +6,72 @@ import (
 	"testing"
 )
 
-// Kernel micro-benchmarks: the per-word cost of the packed batched kernels
-// versus the per-vertex Mask-method loops they replaced, at each unrolled
-// stride. Run via `make bench-kernels`. The interesting comparisons:
+// Kernel micro-benchmarks: the per-word cost of the contiguous-stride
+// kernels at the unrolled strides and the first generic one. Run via
+// `make bench-kernels`. The interesting comparisons:
 //
-//	BenchmarkClassifyPacked vs BenchmarkClassifyPerVertex — batching win
-//	BenchmarkMaskAndCount vs BenchmarkMaskAndThenCount    — fusion win
-//	stride sweep 1/2/4 — word-width scaling of the unrolled kernels
+//	stride sweep 2/3/4/5 — word-width scaling, and the unrolled→generic seam
+//	BenchmarkMaskAndCount vs BenchmarkMaskAndThenCount — fusion win
 
 const benchMasks = 256
 
-func benchFixture(stride int) (lq, packed []uint64, ks []int32) {
+var benchStrides = []int{2, 3, 4, 5}
+
+// benchFixture returns a random query and a block of benchMasks random
+// masks. Masks and query are ~50% dense, so supersets and subsets of the
+// query are vanishingly rare: the kernels scan the whole block (no
+// maximality violation, nothing pruned), the maximal-node case.
+func benchFixture(stride int) (q, ms []uint64) {
 	rng := rand.New(rand.NewSource(42))
-	packed = make([]uint64, stride*benchMasks)
-	for i := range packed {
-		packed[i] = rng.Uint64()
+	ms = make([]uint64, stride*benchMasks)
+	for i := range ms {
+		ms[i] = rng.Uint64()
 	}
-	lq = make([]uint64, stride)
-	for i := range lq {
-		lq[i] = rng.Uint64()
+	q = make([]uint64, stride)
+	for i := range q {
+		q[i] = rng.Uint64()
 	}
-	ks = make([]int32, benchMasks)
-	for i := range ks {
-		ks[i] = int32(i)
-	}
-	return
+	return q, ms
 }
 
 func strideName(stride int) string { return fmt.Sprintf("words=%d", stride) }
 
-// maskIntersectsSlow reproduces the word loop the core engine used before
-// the batched kernels (core's old maskIntersects helper).
-func maskIntersectsSlow(a, b Mask) bool {
-	for i := range a {
-		if a[i]&b[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func BenchmarkClassifyPacked(b *testing.B) {
-	for _, stride := range []int{1, 2, 4} {
+func BenchmarkStrideFilterAnd(b *testing.B) {
+	for _, stride := range benchStrides {
 		b.Run(strideName(stride), func(b *testing.B) {
-			lq, packed, ks := benchFixture(stride)
-			out := make([]Rel, len(ks))
-			b.SetBytes(int64(stride * 8 * len(ks)))
-			b.ResetTimer()
+			q, ms := benchFixture(stride)
+			dst := make([]uint64, len(ms))
+			b.SetBytes(int64(8 * len(ms)))
 			for i := 0; i < b.N; i++ {
-				ClassifyPacked(lq, packed, stride, ks, out)
+				FilterAnd(dst, q, ms, stride)
 			}
 		})
 	}
 }
 
-// BenchmarkClassifyPerVertex is the pre-batching shape: per candidate, a
-// Mask header materialized from packed storage and two method calls
-// (intersection test + subset test), with lq re-read each iteration.
-func BenchmarkClassifyPerVertex(b *testing.B) {
-	for _, stride := range []int{1, 2, 4} {
+func BenchmarkStrideClassify(b *testing.B) {
+	for _, stride := range benchStrides {
 		b.Run(strideName(stride), func(b *testing.B) {
-			lq, packed, ks := benchFixture(stride)
-			out := make([]Rel, len(ks))
-			lqm := Mask(lq)
-			b.SetBytes(int64(stride * 8 * len(ks)))
-			b.ResetTimer()
+			q, ms := benchFixture(stride)
+			ids := make([]int32, benchMasks)
+			sup := make([]int32, benchMasks)
+			part := make([]int32, benchMasks)
+			partMasks := make([]uint64, len(ms))
+			b.SetBytes(int64(8 * len(ms)))
 			for i := 0; i < b.N; i++ {
-				for j, k := range ks {
-					m := Mask(packed[int(k)*stride : (int(k)+1)*stride])
-					if lqm.SubsetOf(m) {
-						out[j] = RelSubset
-					} else if maskIntersectsSlow(lqm, m) {
-						out[j] = RelOverlap
-					} else {
-						out[j] = RelDisjoint
-					}
-				}
+				Classify(q, ms, stride, ids, sup, part, partMasks, true)
 			}
 		})
 	}
 }
 
-func BenchmarkFirstSupersetPacked(b *testing.B) {
-	for _, stride := range []int{1, 2, 4} {
+func BenchmarkStridePruneSubsets(b *testing.B) {
+	for _, stride := range benchStrides {
 		b.Run(strideName(stride), func(b *testing.B) {
-			lq, packed, ks := benchFixture(stride)
-			// Random fixture masks are ~50% dense, lq too: supersets are
-			// vanishingly rare, so this measures the full-scan (no early
-			// exit) path, which is the common case in enumeration.
-			b.SetBytes(int64(stride * 8 * len(ks)))
-			b.ResetTimer()
+			q, ms := benchFixture(stride)
+			b.SetBytes(int64(8 * len(ms)))
 			for i := 0; i < b.N; i++ {
-				FirstSupersetPacked(lq, packed, stride, ks)
-			}
-		})
-	}
-}
-
-func BenchmarkFilterIntersectsPacked(b *testing.B) {
-	for _, stride := range []int{1, 2, 4} {
-		b.Run(strideName(stride), func(b *testing.B) {
-			lq, packed, ks := benchFixture(stride)
-			dst := make([]int32, len(ks))
-			b.SetBytes(int64(stride * 8 * len(ks)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				FilterIntersectsPacked(lq, packed, stride, ks, dst)
+				PruneSubsets(q, ms, stride)
 			}
 		})
 	}
@@ -120,12 +80,12 @@ func BenchmarkFilterIntersectsPacked(b *testing.B) {
 func BenchmarkMaskAndCount(b *testing.B) {
 	for _, stride := range []int{1, 2, 4} {
 		b.Run(strideName(stride), func(b *testing.B) {
-			lq, packed, _ := benchFixture(stride)
+			q, ms := benchFixture(stride)
 			dst := make(Mask, stride)
-			m := Mask(packed[:stride])
+			m := Mask(ms[:stride])
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MaskAndCount(dst, Mask(lq), m)
+				MaskAndCount(dst, Mask(q), m)
 			}
 		})
 	}
@@ -136,13 +96,13 @@ func BenchmarkMaskAndCount(b *testing.B) {
 func BenchmarkMaskAndThenCount(b *testing.B) {
 	for _, stride := range []int{1, 2, 4} {
 		b.Run(strideName(stride), func(b *testing.B) {
-			lq, packed, _ := benchFixture(stride)
+			q, ms := benchFixture(stride)
 			dst := make(Mask, stride)
-			m := Mask(packed[:stride])
+			m := Mask(ms[:stride])
 			var sink int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MaskAnd(dst, Mask(lq), m)
+				MaskAnd(dst, Mask(q), m)
 				sink += dst.Count()
 			}
 			_ = sink

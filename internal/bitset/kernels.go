@@ -2,266 +2,267 @@ package bitset
 
 import "math/bits"
 
-// Batched mask kernels over packed mask storage.
+// Contiguous-stride mask kernels.
 //
-// A bitmap CG stores its masks packed in one []uint64 (stride words per
-// mask, see internal/core's bitCG). The enumeration hot loops never need a
-// single mask in isolation — they need one query mask L_q compared against
-// a *block* of candidate masks: classify every remaining candidate
-// (disjoint / overlapping / superset), find the first excluded vertex that
-// violates maximality, filter the excluded set down to the vertices still
-// overlapping L_q. The kernels below take the packed storage and a block of
-// CG-local indices and answer those questions in a single pass each,
-// GMBE-style: L_q's words are hoisted into registers once per call and
-// reused across the whole block, instead of being re-read (and its slice
-// header re-materialized) once per candidate as the Mask methods would.
+// The bitwise procedure (internal/core's searchBitPacked) carries every mask
+// by value: a block of n masks is n*stride contiguous words, each mask
+// already ANDed with the parent's L, and a mask that LN's node-pruning rule
+// removed is all-zero. The enumeration hot loops compare one query mask q
+// (L_q) against a whole block: check maximality against the excluded masks
+// while building the child's excluded block, split the remaining
+// candidates into R_q / C_q, prune the candidates q subsumes. Each kernel
+// below answers one of those in a single pass over the block, with q's
+// words hoisted into registers once per call.
 //
-// Every kernel is unswitched on the stride: widths 1, 2, 3 and 4 words
-// (τ ≤ 256, the configurable fast path) get dedicated inner loops whose
-// word operations are fully unrolled, wider masks fall back to a generic
-// loop. The dispatch happens once per call — once per candidate *block* —
-// not once per candidate.
+// Every kernel is unswitched on the stride once per call: strides 2, 3 and
+// 4 (τ ≤ 256, the configurable fast path) get inner loops whose word
+// operations are fully unrolled, any other stride a generic word loop
+// (one-word masks run in core's scalar searchBit1 instead). An all-zero
+// mask is disjoint from every q, so each kernel drops or skips it like any
+// other disjoint mask; no separate "pruned" marker exists.
 
 // SmallStrideMax is the widest mask stride (in 64-bit words) with a
 // dedicated unrolled kernel; τ up to 64*SmallStrideMax stays on it.
 const SmallStrideMax = 4
 
-// Rel classifies the relation of one candidate mask m to the query mask
-// L_q (always from L_q's point of view).
-type Rel uint8
-
-const (
-	// RelDisjoint: L_q ∩ m = ∅ — the candidate leaves the subtree.
-	RelDisjoint Rel = iota
-	// RelOverlap: ∅ ⊂ L_q ∩ m ⊂ L_q — the candidate stays a candidate.
-	RelOverlap
-	// RelSubset: L_q ⊆ m — the candidate joins R_q.
-	RelSubset
-)
-
-// AndPacked stores lq AND packed-mask k into dst. len(lq) == stride; dst
-// may alias lq.
-func AndPacked(dst, lq, packed []uint64, stride int, k int32) {
-	off := int(k) * stride
-	m := packed[off : off+stride]
+// FilterAnd is the maximality check of the bitwise procedure fused with
+// building the child's excluded block. It walks the stride-word masks of
+// ms in order and stops at the first one containing every bit of q (the
+// violation q ⊆ m), returning its index as at; after a full pass at is -1.
+// Until then it writes q AND m into dst, packed at the same stride and in
+// order, for every mask m that overlaps q, and n counts the masks written:
+// the excluded block pre-ANDed with the child's L, empty intersections
+// dropped. len(q) == stride; len(ms) is a multiple of stride and len(dst)
+// >= len(ms).
+func FilterAnd(dst, q, ms []uint64, stride int) (n, at int) {
+	nm := len(ms) / stride
 	switch stride {
-	case 1:
-		dst[0] = lq[0] & m[0]
 	case 2:
-		dst[0] = lq[0] & m[0]
-		dst[1] = lq[1] & m[1]
-	case 3:
-		dst[0] = lq[0] & m[0]
-		dst[1] = lq[1] & m[1]
-		dst[2] = lq[2] & m[2]
-	case 4:
-		dst[0] = lq[0] & m[0]
-		dst[1] = lq[1] & m[1]
-		dst[2] = lq[2] & m[2]
-		dst[3] = lq[3] & m[3]
-	default:
-		for w := range m {
-			dst[w] = lq[w] & m[w]
-		}
-	}
-}
-
-// ClassifyPacked classifies every packed mask named by ks against lq in
-// one batched pass, writing out[i] for ks[i]. len(out) >= len(ks);
-// len(lq) == stride. This is the node-generation kernel: one call splits a
-// node's whole remaining candidate block into R_q / C_q / gone.
-func ClassifyPacked(lq, packed []uint64, stride int, ks []int32, out []Rel) {
-	switch stride {
-	case 1:
-		classify1(lq[0], packed, ks, out)
-	case 2:
-		classify2(lq[0], lq[1], packed, ks, out)
-	case 3:
-		classify3(lq[0], lq[1], lq[2], packed, ks, out)
-	case 4:
-		classify4(lq[0], lq[1], lq[2], lq[3], packed, ks, out)
-	default:
-		classifyGeneric(lq, packed, stride, ks, out)
-	}
-}
-
-func rel3(subset bool, any uint64) Rel {
-	if subset {
-		return RelSubset
-	}
-	if any != 0 {
-		return RelOverlap
-	}
-	return RelDisjoint
-}
-
-func classify1(l0 uint64, packed []uint64, ks []int32, out []Rel) {
-	_ = out[:len(ks)]
-	for i, k := range ks {
-		a0 := l0 & packed[k]
-		out[i] = rel3(a0 == l0, a0)
-	}
-}
-
-func classify2(l0, l1 uint64, packed []uint64, ks []int32, out []Rel) {
-	_ = out[:len(ks)]
-	for i, k := range ks {
-		off := int(k) * 2
-		m := packed[off : off+2]
-		a0, a1 := l0&m[0], l1&m[1]
-		out[i] = rel3(a0 == l0 && a1 == l1, a0|a1)
-	}
-}
-
-func classify3(l0, l1, l2 uint64, packed []uint64, ks []int32, out []Rel) {
-	_ = out[:len(ks)]
-	for i, k := range ks {
-		off := int(k) * 3
-		m := packed[off : off+3]
-		a0, a1, a2 := l0&m[0], l1&m[1], l2&m[2]
-		out[i] = rel3(a0 == l0 && a1 == l1 && a2 == l2, a0|a1|a2)
-	}
-}
-
-func classify4(l0, l1, l2, l3 uint64, packed []uint64, ks []int32, out []Rel) {
-	_ = out[:len(ks)]
-	for i, k := range ks {
-		off := int(k) * 4
-		m := packed[off : off+4]
-		a0, a1 := l0&m[0], l1&m[1]
-		a2, a3 := l2&m[2], l3&m[3]
-		out[i] = rel3(a0 == l0 && a1 == l1 && a2 == l2 && a3 == l3, a0|a1|a2|a3)
-	}
-}
-
-func classifyGeneric(lq, packed []uint64, stride int, ks []int32, out []Rel) {
-	_ = out[:len(ks)]
-	for i, k := range ks {
-		off := int(k) * stride
-		m := packed[off : off+stride]
-		var any, diff uint64
-		for w := range m {
-			any |= lq[w] & m[w]
-			diff |= lq[w] &^ m[w]
-		}
-		out[i] = rel3(diff == 0, any)
-	}
-}
-
-// FirstSupersetPacked returns the index i of the first ks[i] whose packed
-// mask is a superset of lq (lq ⊆ mask, the maximality violation), or -1.
-// Early exit at the first hit, like the per-vertex check it replaces.
-func FirstSupersetPacked(lq, packed []uint64, stride int, ks []int32) int {
-	switch stride {
-	case 1:
-		l0 := lq[0]
-		for i, k := range ks {
-			if l0&^packed[k] == 0 {
-				return i
+		q0, q1 := q[0], q[1]
+		for k := 0; k < nm; k++ {
+			m := ms[2*k : 2*k+2 : 2*k+2]
+			a0, a1 := q0&m[0], q1&m[1]
+			if a0 == q0 && a1 == q1 {
+				return n, k
 			}
-		}
-	case 2:
-		l0, l1 := lq[0], lq[1]
-		for i, k := range ks {
-			off := int(k) * 2
-			m := packed[off : off+2]
-			if l0&^m[0]|l1&^m[1] == 0 {
-				return i
-			}
-		}
-	case 3:
-		l0, l1, l2 := lq[0], lq[1], lq[2]
-		for i, k := range ks {
-			off := int(k) * 3
-			m := packed[off : off+3]
-			if l0&^m[0]|l1&^m[1]|l2&^m[2] == 0 {
-				return i
-			}
-		}
-	case 4:
-		l0, l1, l2, l3 := lq[0], lq[1], lq[2], lq[3]
-		for i, k := range ks {
-			off := int(k) * 4
-			m := packed[off : off+4]
-			if l0&^m[0]|l1&^m[1]|l2&^m[2]|l3&^m[3] == 0 {
-				return i
-			}
-		}
-	default:
-		for i, k := range ks {
-			off := int(k) * stride
-			m := packed[off : off+stride]
-			var diff uint64
-			for w := range m {
-				diff |= lq[w] &^ m[w]
-			}
-			if diff == 0 {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
-// FilterIntersectsPacked writes into dst every k ∈ ks whose packed mask
-// overlaps lq, preserving order, and returns the count. len(dst) >=
-// len(ks). This builds a child's excluded set in one pass.
-func FilterIntersectsPacked(lq, packed []uint64, stride int, ks []int32, dst []int32) int {
-	n := 0
-	switch stride {
-	case 1:
-		l0 := lq[0]
-		for _, k := range ks {
-			if l0&packed[k] != 0 {
-				dst[n] = k
-				n++
-			}
-		}
-	case 2:
-		l0, l1 := lq[0], lq[1]
-		for _, k := range ks {
-			off := int(k) * 2
-			m := packed[off : off+2]
-			if l0&m[0]|l1&m[1] != 0 {
-				dst[n] = k
+			if a0|a1 != 0 {
+				d := dst[2*n : 2*n+2 : 2*n+2]
+				d[0], d[1] = a0, a1
 				n++
 			}
 		}
 	case 3:
-		l0, l1, l2 := lq[0], lq[1], lq[2]
-		for _, k := range ks {
-			off := int(k) * 3
-			m := packed[off : off+3]
-			if l0&m[0]|l1&m[1]|l2&m[2] != 0 {
-				dst[n] = k
+		q0, q1, q2 := q[0], q[1], q[2]
+		for k := 0; k < nm; k++ {
+			m := ms[3*k : 3*k+3 : 3*k+3]
+			a0, a1, a2 := q0&m[0], q1&m[1], q2&m[2]
+			if a0 == q0 && a1 == q1 && a2 == q2 {
+				return n, k
+			}
+			if a0|a1|a2 != 0 {
+				d := dst[3*n : 3*n+3 : 3*n+3]
+				d[0], d[1], d[2] = a0, a1, a2
 				n++
 			}
 		}
 	case 4:
-		l0, l1, l2, l3 := lq[0], lq[1], lq[2], lq[3]
-		for _, k := range ks {
-			off := int(k) * 4
-			m := packed[off : off+4]
-			if l0&m[0]|l1&m[1]|l2&m[2]|l3&m[3] != 0 {
-				dst[n] = k
+		q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
+		for k := 0; k < nm; k++ {
+			m := ms[4*k : 4*k+4 : 4*k+4]
+			a0, a1, a2, a3 := q0&m[0], q1&m[1], q2&m[2], q3&m[3]
+			if a0 == q0 && a1 == q1 && a2 == q2 && a3 == q3 {
+				return n, k
+			}
+			if a0|a1|a2|a3 != 0 {
+				d := dst[4*n : 4*n+4 : 4*n+4]
+				d[0], d[1], d[2], d[3] = a0, a1, a2, a3
 				n++
 			}
 		}
 	default:
-		for _, k := range ks {
-			off := int(k) * stride
-			m := packed[off : off+stride]
-			var any uint64
-			for w := range m {
-				any |= lq[w] & m[w]
+		for k := 0; k < nm; k++ {
+			m := ms[k*stride : (k+1)*stride]
+			d := dst[n*stride : (n+1)*stride]
+			var any, qOut uint64
+			for w, mw := range m {
+				a := q[w] & mw
+				d[w] = a
+				any |= a
+				qOut |= q[w] ^ a
+			}
+			if qOut == 0 {
+				return n, k
 			}
 			if any != 0 {
-				dst[n] = k
 				n++
 			}
 		}
 	}
-	return n
+	return n, -1
+}
+
+// Classify splits the candidate block ms (ids[k] names the k-th mask m)
+// against q in one pass, the node-generation step of the bitwise procedure:
+//
+//   - q ⊆ m: ids[k] is appended to sup (it joins R_q);
+//   - otherwise, q ∩ m ≠ ∅: ids[k] is appended to part and q AND m to
+//     partMasks at the same stride (it stays a candidate under q);
+//   - q ∩ m = ∅, including every all-zero mask: dropped.
+//
+// With prune set, each non-zero m ⊆ q is then zeroed in place in ms — LN's
+// node-pruning rule (its node under the parent would duplicate one inside
+// q's subtree) — after it was classified. It returns the number of ids
+// written to sup and part and the number of masks zeroed. len(ids) ==
+// len(ms)/stride; sup and part hold len(ids) ids, partMasks len(ms) words.
+func Classify(q, ms []uint64, stride int, ids, sup, part []int32, partMasks []uint64, prune bool) (nSup, nPart, nPruned int) {
+	switch stride {
+	case 2:
+		q0, q1 := q[0], q[1]
+		for k, id := range ids {
+			m := ms[2*k : 2*k+2 : 2*k+2]
+			a0, a1 := q0&m[0], q1&m[1]
+			if a0|a1 == 0 {
+				continue
+			}
+			if a0 == q0 && a1 == q1 {
+				sup[nSup] = id
+				nSup++
+			} else {
+				d := partMasks[2*nPart : 2*nPart+2 : 2*nPart+2]
+				d[0], d[1] = a0, a1
+				part[nPart] = id
+				nPart++
+			}
+			if prune && a0 == m[0] && a1 == m[1] {
+				m[0], m[1] = 0, 0
+				nPruned++
+			}
+		}
+	case 3:
+		q0, q1, q2 := q[0], q[1], q[2]
+		for k, id := range ids {
+			m := ms[3*k : 3*k+3 : 3*k+3]
+			a0, a1, a2 := q0&m[0], q1&m[1], q2&m[2]
+			if a0|a1|a2 == 0 {
+				continue
+			}
+			if a0 == q0 && a1 == q1 && a2 == q2 {
+				sup[nSup] = id
+				nSup++
+			} else {
+				d := partMasks[3*nPart : 3*nPart+3 : 3*nPart+3]
+				d[0], d[1], d[2] = a0, a1, a2
+				part[nPart] = id
+				nPart++
+			}
+			if prune && a0 == m[0] && a1 == m[1] && a2 == m[2] {
+				m[0], m[1], m[2] = 0, 0, 0
+				nPruned++
+			}
+		}
+	case 4:
+		q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
+		for k, id := range ids {
+			m := ms[4*k : 4*k+4 : 4*k+4]
+			a0, a1, a2, a3 := q0&m[0], q1&m[1], q2&m[2], q3&m[3]
+			if a0|a1|a2|a3 == 0 {
+				continue
+			}
+			if a0 == q0 && a1 == q1 && a2 == q2 && a3 == q3 {
+				sup[nSup] = id
+				nSup++
+			} else {
+				d := partMasks[4*nPart : 4*nPart+4 : 4*nPart+4]
+				d[0], d[1], d[2], d[3] = a0, a1, a2, a3
+				part[nPart] = id
+				nPart++
+			}
+			if prune && a0 == m[0] && a1 == m[1] && a2 == m[2] && a3 == m[3] {
+				m[0], m[1], m[2], m[3] = 0, 0, 0, 0
+				nPruned++
+			}
+		}
+	default:
+		for k, id := range ids {
+			m := ms[k*stride : (k+1)*stride]
+			d := partMasks[nPart*stride : (nPart+1)*stride]
+			var any, qOut, mOut uint64
+			for w, mw := range m {
+				a := q[w] & mw
+				d[w] = a
+				any |= a
+				qOut |= q[w] ^ a
+				mOut |= mw ^ a
+			}
+			if any == 0 {
+				continue
+			}
+			if qOut == 0 {
+				sup[nSup] = id
+				nSup++
+			} else {
+				part[nPart] = id
+				nPart++
+			}
+			if prune && mOut == 0 {
+				clear(m)
+				nPruned++
+			}
+		}
+	}
+	return nSup, nPart, nPruned
+}
+
+// PruneSubsets zeroes in place every non-zero mask in ms that q contains
+// (m ⊆ q) and returns how many it zeroed: LN's node-pruning rule applied
+// for a child q that turned out non-maximal, whose candidates are never
+// classified.
+func PruneSubsets(q, ms []uint64, stride int) int {
+	n := len(ms) / stride
+	pruned := 0
+	switch stride {
+	case 2:
+		q0, q1 := q[0], q[1]
+		for k := 0; k < n; k++ {
+			m := ms[2*k : 2*k+2 : 2*k+2]
+			if m[0]|m[1] != 0 && m[0]&^q0|m[1]&^q1 == 0 {
+				m[0], m[1] = 0, 0
+				pruned++
+			}
+		}
+	case 3:
+		q0, q1, q2 := q[0], q[1], q[2]
+		for k := 0; k < n; k++ {
+			m := ms[3*k : 3*k+3 : 3*k+3]
+			if m[0]|m[1]|m[2] != 0 && m[0]&^q0|m[1]&^q1|m[2]&^q2 == 0 {
+				m[0], m[1], m[2] = 0, 0, 0
+				pruned++
+			}
+		}
+	case 4:
+		q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
+		for k := 0; k < n; k++ {
+			m := ms[4*k : 4*k+4 : 4*k+4]
+			if m[0]|m[1]|m[2]|m[3] != 0 && m[0]&^q0|m[1]&^q1|m[2]&^q2|m[3]&^q3 == 0 {
+				m[0], m[1], m[2], m[3] = 0, 0, 0, 0
+				pruned++
+			}
+		}
+	default:
+		for k := 0; k < n; k++ {
+			m := ms[k*stride : (k+1)*stride]
+			var any, out uint64
+			for w, mw := range m {
+				any |= mw
+				out |= mw &^ q[w]
+			}
+			if any != 0 && out == 0 {
+				clear(m)
+				pruned++
+			}
+		}
+	}
+	return pruned
 }
 
 // MaskAndCount stores a AND b into dst and returns the population count of

@@ -2,118 +2,221 @@ package bitset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// kernelStrides covers every dedicated unrolled kernel (1–4 words) plus the
-// first stride that falls through to the generic loop.
-var kernelStrides = []int{1, 2, 3, 4, 5}
+// kernelStrides covers every dedicated unrolled kernel (2–4 words), the
+// one-word and wider strides that run the generic loop, and the seam on
+// each side.
+var kernelStrides = []int{1, 2, 3, 4, 5, 6}
 
-// packedFixture builds packed mask storage for nMasks masks of the given
-// stride, plus the per-mask refSet oracle. Width is stride*64 minus a few
+// blockFixture builds a query q and a contiguous block of nMasks masks at
+// the given stride, with the per-mask refSet oracle. Mask kinds are mixed
+// so every kernel branch is reached: all-zero (a pruned mask), subsets of
+// q (prunable), q itself, supersets of q (join R_q / violate maximality),
+// and random masks (overlap or disjoint). Width is stride*64 minus a few
 // bits so partial-word handling is exercised at strides > 1.
-func packedFixture(rng *rand.Rand, stride, nMasks int) ([]uint64, []refSet, int) {
+func blockFixture(rng *rand.Rand, stride, nMasks int, qDensity float64) (q []uint64, qRef refSet, ms []uint64, refs []refSet) {
 	width := stride*64 - 3
 	if stride == 1 {
 		width = 64
 	}
-	packed := make([]uint64, stride*nMasks)
-	refs := make([]refSet, nMasks)
-	for k := 0; k < nMasks; k++ {
-		refs[k] = randomRef(rng, width, 0.3)
-		m := Mask(packed[k*stride : (k+1)*stride])
-		for i := range refs[k] {
+	qRef = randomRef(rng, width, qDensity)
+	refs = make([]refSet, nMasks)
+	for k := range refs {
+		switch rng.Intn(5) {
+		case 0:
+			refs[k] = refSet{}
+		case 1: // subset of q
+			refs[k] = qRef.and(randomRef(rng, width, 0.5))
+		case 2:
+			refs[k] = qRef.and(qRef)
+		case 3: // superset of q
+			r := randomRef(rng, width, 0.3)
+			for i := range qRef {
+				r[i] = true
+			}
+			refs[k] = r
+		default:
+			refs[k] = randomRef(rng, width, []float64{0.02, 0.3}[rng.Intn(2)])
+		}
+	}
+	q = make([]uint64, stride)
+	for i := range qRef {
+		Mask(q).Set(i)
+	}
+	ms = make([]uint64, stride*nMasks)
+	for k, r := range refs {
+		m := Mask(ms[k*stride : (k+1)*stride])
+		for i := range r {
 			m.Set(i)
 		}
 	}
-	return packed, refs, width
+	return q, qRef, ms, refs
 }
 
-func refRel(lq, m refSet) Rel {
-	if lq.subsetOf(m) {
-		return RelSubset
+// refMask encodes an oracle set as a stride-word mask.
+func refMask(r refSet, stride int) []uint64 {
+	m := make(Mask, stride)
+	for i := range r {
+		m.Set(i)
 	}
-	if lq.and(m).popcount() != 0 {
-		return RelOverlap
-	}
-	return RelDisjoint
+	return m
 }
 
-func TestPackedKernelsAgainstOracle(t *testing.T) {
+// TestStrideKernelsAgainstOracle checks every contiguous-stride kernel
+// against a scalar per-mask oracle on map-backed sets.
+func TestStrideKernelsAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, stride := range kernelStrides {
-		for trial := 0; trial < 30; trial++ {
+		var reached [4]int // pruned, sup, part, filtered over all trials
+		for trial := 0; trial < 40; trial++ {
 			const nMasks = 40
-			packed, refs, width := packedFixture(rng, stride, nMasks)
-
-			// Query density varies so all three relations occur: sparse
-			// queries produce subsets, dense ones disjoint/overlap.
-			lqRef := randomRef(rng, width, []float64{0.05, 0.3, 0.8}[trial%3])
-			lq := make([]uint64, stride)
-			for i := range lqRef {
-				Mask(lq).Set(i)
+			q, qRef, ms, refs := blockFixture(rng, stride, nMasks, []float64{0.05, 0.3, 0.8}[trial%3])
+			ids := make([]int32, nMasks)
+			for k := range ids {
+				ids[k] = int32(100 + k)
 			}
 
-			ks := make([]int32, 0, nMasks)
-			for k := 0; k < nMasks; k++ {
-				if rng.Intn(3) > 0 {
-					ks = append(ks, int32(k))
+			// FilterAnd: order-preserving q AND m for overlapping masks, up
+			// to the first mask containing q (whose index it reports).
+			wantAt := -1
+			var wantFilt []uint64
+			for k, r := range refs {
+				if qRef.subsetOf(r) {
+					wantAt = k
+					break
+				}
+				if a := qRef.and(r); a.popcount() != 0 {
+					wantFilt = append(wantFilt, refMask(a, stride)...)
 				}
 			}
-
-			// AndPacked per mask.
-			dst := make([]uint64, stride)
-			for _, k := range ks {
-				AndPacked(dst, lq, packed, stride, k)
-				want := lqRef.and(refs[k])
-				if got := Mask(dst).Count(); got != want.popcount() {
-					t.Fatalf("stride %d: AndPacked(k=%d) count %d, want %d", stride, k, got, want.popcount())
-				}
-				for i := range want {
-					if !Mask(dst).Has(i) {
-						t.Fatalf("stride %d: AndPacked(k=%d) missing bit %d", stride, k, i)
+			dst := make([]uint64, len(ms))
+			n, at := FilterAnd(dst, q, ms, stride)
+			if at != wantAt || !slices.Equal(dst[:n*stride], wantFilt) {
+				t.Fatalf("stride %d: FilterAnd = (%d masks, at %d), want (%d, %d) or contents differ",
+					stride, n, at, len(wantFilt)/stride, wantAt)
+			}
+			// The same block without its supersets of q is a full pass.
+			var noSup []uint64
+			wantFilt = wantFilt[:0]
+			for k, r := range refs {
+				if !qRef.subsetOf(r) {
+					noSup = append(noSup, ms[k*stride:(k+1)*stride]...)
+					if a := qRef.and(r); a.popcount() != 0 {
+						wantFilt = append(wantFilt, refMask(a, stride)...)
 					}
 				}
 			}
+			n, at = FilterAnd(dst, q, noSup, stride)
+			if at != -1 || !slices.Equal(dst[:n*stride], wantFilt) {
+				t.Fatalf("stride %d: full-pass FilterAnd = (%d masks, at %d), want (%d, -1) or contents differ",
+					stride, n, at, len(wantFilt)/stride)
+			}
+			reached[3] += n
 
-			// ClassifyPacked vs per-mask oracle relation.
-			out := make([]Rel, len(ks))
-			ClassifyPacked(lq, packed, stride, ks, out)
-			for i, k := range ks {
-				if want := refRel(lqRef, refs[k]); out[i] != want {
-					t.Fatalf("stride %d: ClassifyPacked ks[%d]=%d got %d, want %d", stride, i, k, out[i], want)
+			// Classify, without and with pruning, on copies of the block.
+			var wantSup, wantPart []int32
+			var wantPartMasks, wantPruned []uint64
+			nWantPruned := 0
+			for k, r := range refs {
+				a := qRef.and(r)
+				prunable := r.popcount() != 0 && r.subsetOf(qRef)
+				if prunable {
+					nWantPruned++
+					wantPruned = append(wantPruned, make([]uint64, stride)...)
+				} else {
+					wantPruned = append(wantPruned, ms[k*stride:(k+1)*stride]...)
+				}
+				switch {
+				case a.popcount() == 0:
+				case qRef.subsetOf(r):
+					wantSup = append(wantSup, ids[k])
+				default:
+					wantPart = append(wantPart, ids[k])
+					wantPartMasks = append(wantPartMasks, refMask(a, stride)...)
+				}
+			}
+			for _, prune := range []bool{false, true} {
+				block := slices.Clone(ms)
+				sup := make([]int32, nMasks)
+				part := make([]int32, nMasks)
+				partMasks := make([]uint64, len(ms))
+				ns, np, nz := Classify(q, block, stride, ids, sup, part, partMasks, prune)
+				if !slices.Equal(sup[:ns], wantSup) || !slices.Equal(part[:np], wantPart) {
+					t.Fatalf("stride %d prune=%v: Classify sup %v part %v, want %v %v",
+						stride, prune, sup[:ns], part[:np], wantSup, wantPart)
+				}
+				if !slices.Equal(partMasks[:np*stride], wantPartMasks) {
+					t.Fatalf("stride %d prune=%v: Classify partial masks differ", stride, prune)
+				}
+				switch {
+				case !prune && (nz != 0 || !slices.Equal(block, ms)):
+					t.Fatalf("stride %d: Classify without prune zeroed %d masks", stride, nz)
+				case prune && (nz != nWantPruned || !slices.Equal(block, wantPruned)):
+					t.Fatalf("stride %d: Classify pruned %d masks, want %d (or wrong ones)", stride, nz, nWantPruned)
 				}
 			}
 
-			// FirstSupersetPacked: index of the first RelSubset, or -1.
-			wantFirst := -1
-			for i, k := range ks {
-				if lqRef.subsetOf(refs[k]) {
-					wantFirst = i
-					break
-				}
+			// PruneSubsets zeroes exactly the non-zero subsets of q.
+			block := slices.Clone(ms)
+			if nz := PruneSubsets(q, block, stride); nz != nWantPruned || !slices.Equal(block, wantPruned) {
+				t.Fatalf("stride %d: PruneSubsets zeroed %d masks, want %d (or wrong ones)", stride, nz, nWantPruned)
 			}
-			if got := FirstSupersetPacked(lq, packed, stride, ks); got != wantFirst {
-				t.Fatalf("stride %d: FirstSupersetPacked got %d, want %d", stride, got, wantFirst)
-			}
+			reached[0] += nWantPruned
+			reached[1] += len(wantSup)
+			reached[2] += len(wantPart)
+		}
+		if slices.Contains(reached[:], 0) {
+			t.Fatalf("stride %d: fixtures reach too few branches (pruned, sup, part, filtered) = %v", stride, reached)
+		}
+	}
+}
 
-			// FilterIntersectsPacked: order-preserving overlap filter.
-			filt := make([]int32, len(ks))
-			n := FilterIntersectsPacked(lq, packed, stride, ks, filt)
-			var wantFilt []int32
-			for _, k := range ks {
-				if lqRef.and(refs[k]).popcount() != 0 {
-					wantFilt = append(wantFilt, k)
-				}
-			}
-			if n != len(wantFilt) {
-				t.Fatalf("stride %d: FilterIntersectsPacked kept %d, want %d", stride, n, len(wantFilt))
-			}
-			for i := range wantFilt {
-				if filt[i] != wantFilt[i] {
-					t.Fatalf("stride %d: FilterIntersectsPacked[%d] = %d, want %d", stride, i, filt[i], wantFilt[i])
-				}
-			}
+// TestStrideKernelsEmptyQuery pins the degenerate query q = ∅: it is a
+// subset of every mask (FilterAnd stops at the first one; a full pass only
+// over an empty block), it overlaps none (Classify keeps nothing), and
+// only the empty mask is its subset (nothing is pruned).
+func TestStrideKernelsEmptyQuery(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, stride := range kernelStrides {
+		_, _, ms, _ := blockFixture(rng, stride, 6, 0.3)
+		q := make([]uint64, stride)
+		if n, at := FilterAnd(make([]uint64, len(ms)), q, ms, stride); n != 0 || at != 0 {
+			t.Fatalf("stride %d: empty query should stop at the first mask, got (%d, %d)", stride, n, at)
+		}
+		if n, at := FilterAnd(nil, q, nil, stride); n != 0 || at != -1 {
+			t.Fatalf("stride %d: empty block should be a full pass, got (%d, %d)", stride, n, at)
+		}
+		ids := make([]int32, 6)
+		block := slices.Clone(ms)
+		ns, np, nz := Classify(q, block, stride, ids, make([]int32, 6), make([]int32, 6), make([]uint64, len(ms)), true)
+		if ns != 0 || np != 0 || nz != 0 || !slices.Equal(block, ms) {
+			t.Fatalf("stride %d: Classify on an empty query = (%d, %d, %d)", stride, ns, np, nz)
+		}
+		if nz := PruneSubsets(q, block, stride); nz != 0 || !slices.Equal(block, ms) {
+			t.Fatalf("stride %d: PruneSubsets on an empty query zeroed %d masks", stride, nz)
+		}
+	}
+}
+
+// TestStrideKernelsSkipZeroMasks pins that an all-zero (pruned) mask is
+// invisible to every kernel even when it is the only mask in the block.
+func TestStrideKernelsSkipZeroMasks(t *testing.T) {
+	for _, stride := range kernelStrides {
+		q := make([]uint64, stride)
+		q[0] = 0b1011
+		ms := make([]uint64, 2*stride)
+		if n, at := FilterAnd(make([]uint64, len(ms)), q, ms, stride); n != 0 || at != -1 {
+			t.Fatalf("stride %d: FilterAnd on zero masks = (%d, %d), want (0, -1)", stride, n, at)
+		}
+		ns, np, nz := Classify(q, ms, stride, []int32{1, 2}, make([]int32, 2), make([]int32, 2), make([]uint64, len(ms)), true)
+		if ns != 0 || np != 0 || nz != 0 {
+			t.Fatalf("stride %d: Classify on zero masks = (%d, %d, %d)", stride, ns, np, nz)
+		}
+		if nz := PruneSubsets(q, ms, stride); nz != 0 {
+			t.Fatalf("stride %d: PruneSubsets re-pruned %d zero masks", stride, nz)
 		}
 	}
 }
@@ -134,23 +237,6 @@ func TestMaskAndCountAgainstOracle(t *testing.T) {
 			if got2 := dst.Count(); got2 != want.popcount() {
 				t.Fatalf("width %d: MaskAndCount dst has %d bits, want %d", width, got2, want.popcount())
 			}
-		}
-	}
-}
-
-// TestFirstSupersetPackedEmptyQuery pins the degenerate case the core hot
-// path can hit: an all-zero L_q is a subset of every mask, so the first
-// listed index must be returned (index 0 when ks is non-empty).
-func TestFirstSupersetPackedEmptyQuery(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, stride := range kernelStrides {
-		packed, _, _ := packedFixture(rng, stride, 4)
-		lq := make([]uint64, stride)
-		if got := FirstSupersetPacked(lq, packed, stride, []int32{2, 0, 3}); got != 0 {
-			t.Fatalf("stride %d: empty query should match first index, got %d", stride, got)
-		}
-		if got := FirstSupersetPacked(lq, packed, stride, nil); got != -1 {
-			t.Fatalf("stride %d: empty ks should return -1, got %d", stride, got)
 		}
 	}
 }

@@ -125,8 +125,15 @@ func (a *nodeArena) detach(L, R, candIDs []int32, candNbrs [][]int32, exclIDs []
 
 // recycle parks a finished node for reuse. Must only be called after every
 // reference from the task's execution (runTask and its defers) is dead.
+// The free list holds at most parallelQueueCap nodes, more than one worker
+// can have queued at once; past that the node is left to the GC. Without
+// the bound a worker that executes many stolen subtrees but spawns few
+// (any worker but the root loop's, when subtrees run in bitmaps) would
+// retain every node it ever ran until the run ends.
 func (a *nodeArena) recycle(n *detachedNode) {
-	a.free.Put(n)
+	if a.free.Len() < parallelQueueCap {
+		a.free.Put(n)
+	}
 }
 
 // stats folds the arena's counters into a worker's metrics at merge time.

@@ -121,3 +121,20 @@ func TestArenaParallelRecycling(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaFreeListBounded: a worker that recycles far more nodes than it
+// detaches (a thief running stolen subtrees that never spawn) must not
+// retain them all; the free list stops at parallelQueueCap.
+func TestArenaFreeListBounded(t *testing.T) {
+	var spawner, thief nodeArena
+	nodes := make([]*detachedNode, 3*parallelQueueCap)
+	for i := range nodes {
+		nodes[i], _ = spawner.detach([]int32{1, 2}, []int32{3}, nil, nil, nil, nil)
+	}
+	for _, n := range nodes {
+		thief.recycle(n)
+	}
+	if got := thief.free.Len(); got != parallelQueueCap {
+		t.Fatalf("free list holds %d nodes after %d recycles, want %d", got, len(nodes), parallelQueueCap)
+	}
+}

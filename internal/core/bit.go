@@ -12,18 +12,17 @@ import (
 // masks and each intersection is one AND, as in the paper; up to
 // 64·bitset.SmallStrideMax bits the unrolled multi-word kernels keep an
 // intersection nearly as cheap.
-// A bitCG is created once at a node with |L*| ≤ τ, C* ≠ ∅ and reused by
-// the entire subtree. Bitmap subtrees never nest, so each engine owns a
-// single bitCG whose storage is recycled across creations (reset), keeping
-// steady-state enumeration allocation-free.
+// A bitCG is created once at a node with |L*| ≤ τ, C* ≠ ∅; its mask storage
+// is that node's candidate and excluded blocks, which the bitwise procedure
+// then carries by value down the subtree. Bitmap subtrees never nest, so
+// each engine owns a single bitCG whose storage is recycled across
+// creations (reset), keeping steady-state enumeration allocation-free.
 type bitCG struct {
-	width     int      // words per mask (⌈|L*|/64⌉)
-	lids      []int32  // bit position → U id (sorted; equals L*)
-	vids      []int32  // CG-local index → V id
-	masks     []uint64 // len(vids)*width packed masks
-	nCand     int      // vids[0:nCand] are the creation node's candidates
-	framesBuf []uint64 // per-depth L_q scratch (depth ≤ |L*|), width words each
-	rootBuf   []uint64 // the root L_q ("all of L*") for the multi-word path
+	width int      // words per mask (⌈|L*|/64⌉)
+	lids  []int32  // bit position → U id (sorted; equals L*)
+	vids  []int32  // CG-local index → V id
+	masks []uint64 // len(vids)*width packed masks
+	nCand int      // vids[0:nCand] are the creation node's candidates
 
 	// charge, if non-nil, accounts retained-capacity growth (bytes) to the
 	// run's memory gauge.
@@ -73,22 +72,6 @@ func (cg *bitCG) growMask() {
 
 func (cg *bitCG) mask(k int32) bitset.Mask {
 	return bitset.Mask(cg.masks[int(k)*cg.width : (int(k)+1)*cg.width])
-}
-
-func (cg *bitCG) frame(d int) bitset.Mask {
-	need := (d + 1) * cg.width
-	if cap(cg.framesBuf) < need {
-		// One doubling allocation per growth. The prefix holds the live L_q
-		// frames of every ancestor depth and must be copied over; the new
-		// frame itself needs no zeroing (MaskAnd fully overwrites it).
-		before := cap(cg.framesBuf)
-		grown := make([]uint64, max(need, 2*cap(cg.framesBuf)))
-		copy(grown, cg.framesBuf)
-		cg.framesBuf = grown
-		cg.charged(before, cap(cg.framesBuf))
-	}
-	cg.framesBuf = cg.framesBuf[:cap(cg.framesBuf)]
-	return bitset.Mask(cg.framesBuf[d*cg.width : (d+1)*cg.width])
 }
 
 // maskWidth returns the mask word-width for a bitmap whose L* has lenL
@@ -210,44 +193,23 @@ func (e *engine) buildBitCGGlobal(L, R, cand []int32) *bitCG {
 	return cg
 }
 
-// searchBitRoot seeds the bitwise procedure over a freshly built bitmap CG:
-// L = all of L*, candidates and excluded vertices as laid out by the
-// builder. One-word CGs (|L*| ≤ 64) dispatch to the scalar specialization
-// searchBit1, realizing the paper's "each set intersection is a single
-// bitwise AND between two 64-bit integers". Wider masks (τ up to
-// 64·bitset.SmallStrideMax on the unrolled kernels, beyond that on a
-// generic word loop) run searchBitPacked over the CG's packed mask storage.
+// searchBitRoot seeds the bitwise procedure over a freshly built bitmap CG.
+// The builder's storage is already laid out as the procedure carries it:
+// candidate V ids with their masks first, then the excluded masks, every
+// mask inside L* and so already ANDed with the root's L. One-word CGs
+// (|L*| ≤ 64) dispatch to the scalar specialization searchBit1, realizing
+// the paper's "each set intersection is a single bitwise AND between two
+// 64-bit integers"; wider masks (unrolled kernels up to
+// 64·bitset.SmallStrideMax bits, a generic word loop beyond) run
+// searchBitPacked.
 func (e *engine) searchBitRoot(cg *bitCG, R []int32) {
 	t0, timed := e.enterSmallTimer(len(cg.lids))
+	cand := cg.vids[:cg.nCand]
+	split := cg.nCand * cg.width
 	if cg.width == 1 {
-		var root uint64
-		if n := len(cg.lids); n >= 64 {
-			root = ^uint64(0)
-		} else {
-			root = (1 << uint(n)) - 1
-		}
-		// The builder's storage is already laid out as searchBit1 carries
-		// it: candidate V ids with their masks first, then the excluded
-		// masks.
-		e.searchBit1(cg, root, R, cg.vids[:cg.nCand], cg.masks[:cg.nCand], cg.masks[cg.nCand:])
+		e.searchBit1(cg, R, cand, cg.masks[:split], cg.masks[split:])
 	} else {
-		mark := e.ids.Mark()
-		cand := e.ids.Alloc(cg.nCand)
-		for i := range cand {
-			cand[i] = int32(i)
-		}
-		excl := e.ids.Alloc(len(cg.vids) - cg.nCand)
-		for i := range excl {
-			excl[i] = int32(cg.nCand + i)
-		}
-		if cap(cg.rootBuf) < cg.width {
-			cg.charged(cap(cg.rootBuf), cg.width)
-			cg.rootBuf = make([]uint64, cg.width)
-		}
-		root := bitset.Mask(cg.rootBuf[:cg.width])
-		root.FillLow(len(cg.lids))
-		e.searchBitPacked(cg, 0, root, R, cand, excl)
-		e.ids.Release(mark)
+		e.searchBitPacked(cg, R, cand, cg.masks[:split], cg.masks[split:])
 	}
 	e.exitSmallTimer(t0, timed)
 }
@@ -255,22 +217,37 @@ func (e *engine) searchBitRoot(cg *bitCG, R []int32) {
 // searchBit1 is the bitwise procedure specialized to one-word masks, with
 // every mask carried by value rather than gathered through a CG index:
 // cand holds the candidates' V ids and cm their masks (parallel arrays),
-// xm the excluded set's masks (excluded ids are never read). Set
-// intersection is a single AND, the subset test a single AND+CMP, and L_q
-// lives in a register. Each child receives its candidate and excluded
-// masks already ANDed with its L_q and filtered to the non-empty ones, so
-// its loops stream contiguous words from e.words. Because L_child ⊆ L_q,
-// the pre-ANDed masks answer every later AND and subset test exactly as
-// the raw ones would.
-func (e *engine) searchBit1(cg *bitCG, lp uint64, R []int32, cand []int32, cm, xm []uint64) {
+// xm the excluded set's masks (excluded ids are never read). Every mask
+// arrives already ANDed with this node's L, so a candidate's mask is its
+// child's L_q. Set intersection is a single AND, the subset test a single
+// AND+CMP, and L_q lives in a register. Each child receives its candidate
+// and excluded masks already ANDed with its L_q and filtered to the
+// non-empty ones, so its loops stream contiguous words from e.words.
+// Because L_child ⊆ L_q, the pre-ANDed masks answer every later AND and
+// subset test exactly as the raw ones would.
+//
+// With Variant == Ada the procedure also applies LN's node-pruning rule
+// (§III-A, rule 3; Algorithm 2 lines 14-15): a later candidate whose mask
+// lies inside L_q has N_q(v_c) = N_p(v_c), so the node it would generate
+// here duplicates one in L_q's subtree, and its mask is zeroed in place.
+// The candidate loop skips zero masks and every filter drops them as
+// disjoint. A maximal child prunes in its classify pass, after classifying
+// the candidate into its own R_q / C_q; a non-maximal child prunes in a
+// separate sweep. The bitwise tree is then exactly LN's. The BIT-alone
+// variant never prunes, matching the paper's Fig. 10 ablation.
+func (e *engine) searchBit1(cg *bitCG, R []int32, cand []int32, cm, xm []uint64) {
 	if e.stop.Stopped() {
 		return
 	}
+	prune := e.variant == Ada
 	for i := 0; i < len(cand); i++ {
+		lq := cm[i]
+		if lq == 0 { // pruned at this node
+			continue
+		}
 		if e.stop.Hit() {
 			return
 		}
-		lq := lp & cm[i]
 		if e.collect {
 			e.metrics.SetIntersections++
 		}
@@ -278,10 +255,18 @@ func (e *engine) searchBit1(cg *bitCG, lp uint64, R []int32, cand []int32, cm, x
 			continue
 		}
 
-		// Node check against the excluded set and the traversed prefix.
-		// SetIntersections counts one op per mask inspected.
+		// Node check against the excluded set and the traversed prefix,
+		// fused with building the child's excluded set as LN does: each
+		// mask ANDed with L_q and kept if non-empty, until one contains
+		// L_q. SetIntersections counts one op per mask inspected. One
+		// words block holds the child excluded set's and C_q's masks.
+		rem := len(cand) - i - 1
+		wordMark := e.words.Mark()
+		words := e.words.Alloc(len(xm) + i + rem)
+		xq, cqm := words[:len(xm)+i], words[len(xm)+i:]
 		maximal := true
-		if at := firstSuperset1(lq, xm); at >= 0 {
+		nx, at := filterAnd1(xq, lq, xm)
+		if at >= 0 {
 			maximal = false
 			if e.collect {
 				e.metrics.SetIntersections += int64(at + 1)
@@ -290,7 +275,10 @@ func (e *engine) searchBit1(cg *bitCG, lp uint64, R []int32, cand []int32, cm, x
 			if e.collect {
 				e.metrics.SetIntersections += int64(len(xm))
 			}
-			if at := firstSuperset1(lq, cm[:i]); at >= 0 {
+			var n int
+			n, at = filterAnd1(xq[nx:], lq, cm[:i])
+			nx += n
+			if at >= 0 {
 				maximal = false
 				if e.collect {
 					e.metrics.SetIntersections += int64(at + 1)
@@ -304,76 +292,86 @@ func (e *engine) searchBit1(cg *bitCG, lp uint64, R []int32, cand []int32, cm, x
 			e.metrics.NodesGenerated++
 		}
 		if !maximal {
+			e.words.Release(wordMark)
 			if e.collect {
 				e.metrics.NodesNonMaximal++
+			}
+			if prune {
+				np := 0
+				for j := i + 1; j < len(cm); j++ {
+					if c := cm[j]; c != 0 && c&^lq == 0 {
+						cm[j] = 0
+						np++
+					}
+				}
+				if e.collect {
+					e.metrics.SetIntersections += int64(rem)
+					e.metrics.NodesPruned += int64(np)
+				}
 			}
 			continue
 		}
 
-		// Node generation: one ids block for R_q and C_q's ids, one words
-		// block for C_q's and the child excluded set's masks.
+		// Node generation: one ids block for R_q and C_q's ids.
 		idMark := e.ids.Mark()
-		wordMark := e.words.Mark()
-		rem := len(cand) - i - 1
 		nrCap := len(R) + 1 + rem
 		ids := e.ids.Alloc(nrCap + rem)
 		rq, cq := ids[:nrCap], ids[nrCap:]
 		nr := copy(rq, R)
 		rq[nr] = cand[i]
 		nr++
-		words := e.words.Alloc(rem + len(xm) + i)
-		cqm, xq := words[:rem], words[rem:]
-		nc := 0
-		if e.collect {
-			e.metrics.SetIntersections += int64(rem)
-		}
+		nc, np := 0, 0
 		for j := i + 1; j < len(cand); j++ {
-			switch and := lq & cm[j]; {
-			case and == lq: // lq ⊆ mask(cand[j])
+			c := cm[j]
+			and := lq & c
+			if and == 0 { // disjoint, or pruned earlier
+				continue
+			}
+			if and == lq { // lq ⊆ mask(cand[j])
 				rq[nr] = cand[j]
 				nr++
-			case and != 0:
+			} else {
 				cq[nc] = cand[j]
 				cqm[nc] = and
 				nc++
 			}
-		}
-		nx := 0
-		for _, x := range xm {
-			if and := lq & x; and != 0 {
-				xq[nx] = and
-				nx++
-			}
-		}
-		for _, x := range cm[:i] {
-			if and := lq & x; and != 0 {
-				xq[nx] = and
-				nx++
+			if prune && and == c {
+				cm[j] = 0
+				np++
 			}
 		}
 
 		if e.collect {
+			e.metrics.SetIntersections += int64(rem)
+			e.metrics.NodesPruned += int64(np)
 			e.metrics.NodesMaximal++
 			e.metrics.observeNode(bits.OnesCount64(lq), nc)
 		}
 		e.emitBit1(cg, lq, rq[:nr])
 		if nc > 0 && (e.skipSubtree == nil || !e.skipSubtree(bits.OnesCount64(lq), nr, nc)) {
-			e.searchBit1(cg, lq, rq[:nr], cq[:nc], cqm[:nc], xq[:nx])
+			e.searchBit1(cg, rq[:nr], cq[:nc], cqm[:nc], xq[:nx])
 		}
 		e.words.Release(wordMark)
 		e.ids.Release(idMark)
 	}
 }
 
-// firstSuperset1 returns the index of the first mask in ms that contains
-// every bit of lq, or -1.
-func firstSuperset1(lq uint64, ms []uint64) int {
-	for k, m := range ms {
-		if lq&^m == 0 {
-			return k
+// filterAnd1 is bitset.FilterAnd for one-word masks: it writes lq AND x
+// into dst for every x in xs that overlaps lq, stopping at the first x
+// that contains lq. It returns the count written and that x's index, or
+// -1 after a full pass.
+func filterAnd1(dst []uint64, lq uint64, xs []uint64) (n, at int) {
+	for k, x := range xs {
+		and := lq & x
+		if and == lq {
+			return n, k
+		}
+		if and != 0 {
+			dst[n] = and
+			n++
 		}
 	}
-	return -1
+	return n, -1
 }
 
 // emitBit1 is emitBit for one-word L masks.
@@ -394,33 +392,31 @@ func (e *engine) emitBit1(cg *bitCG, lq uint64, R []int32) {
 	e.ids.Release(mark)
 }
 
-// searchBitPacked is the bitwise enumeration procedure (Algorithm 2, lines
-// 24-40) for multi-word masks. All vertex sets except R hold CG-local
-// indices; every set intersection is a width-word AND. The maximality test
-// on line 29 is implemented as the subset check (L_q & N_bit(v”)) == L_q.
-//
-// Unlike the per-vertex original, each phase of a node runs as ONE batched
-// kernel call over the packed mask storage (internal/bitset kernels):
-// FirstSupersetPacked sweeps the excluded set for the maximality check,
-// ClassifyPacked splits the whole remaining candidate block into R_q / C_q
-// in a single pass (replacing the separate subset test and overlap test per
-// candidate), and FilterIntersectsPacked builds the child excluded set.
-// Each call hoists L_q's words into registers once per block and dispatches
-// once on the stride, so τ ∈ (64, 256] stays on unrolled 2–4-word inner
-// loops instead of falling back to LN.
-func (e *engine) searchBitPacked(cg *bitCG, depth int, lp bitset.Mask, R []int32, cand, excl []int32) {
+// searchBitPacked is searchBit1 for multi-word masks, with the same
+// by-value layout and the same pruning: cm holds the candidates' masks
+// contiguously, cg.width words each, in the order of cand, and xm the
+// excluded masks. Each phase of a node runs as one internal/bitset kernel
+// call over a contiguous block: FilterAnd sweeps the excluded set and the
+// traversed prefix for the maximality check while building the child
+// excluded block, Classify splits the remaining candidates into R_q / C_q
+// (and prunes under Ada), and PruneSubsets is the non-maximal child's
+// pruning sweep. Each call hoists L_q's words into registers once and
+// dispatches once on the width, so τ ∈ (64, 256] stays on unrolled 2–4-word
+// inner loops.
+func (e *engine) searchBitPacked(cg *bitCG, R []int32, cand []int32, cm, xm []uint64) {
 	if e.stop.Stopped() {
 		return
 	}
-	width := cg.width
-	masks := cg.masks
+	w := cg.width
+	prune := e.variant == Ada
 	for i := 0; i < len(cand); i++ {
+		lq := bitset.Mask(cm[i*w : (i+1)*w])
+		if lq.Zero() { // pruned at this node
+			continue
+		}
 		if e.stop.Hit() {
 			return
 		}
-		vk := cand[i]
-		lq := cg.frame(depth)
-		bitset.AndPacked(lq, lp, masks, width, vk)
 		if e.collect {
 			e.metrics.SetIntersections++
 		}
@@ -428,22 +424,26 @@ func (e *engine) searchBitPacked(cg *bitCG, depth int, lp bitset.Mask, R []int32
 			continue
 		}
 
-		// Node check (lines 27-30): the excluded set is every V_bit vertex
-		// outside R ∪ C — the builder's excluded list plus candidates
-		// already traversed at this node or an ancestor within the bitmap.
-		// SetIntersections counts one op per mask actually inspected, like
-		// the early-exiting per-vertex loop it replaces.
+		rem := len(cand) - i - 1
+		rest := cm[(i+1)*w:]
+		wordMark := e.words.Mark()
+		words := e.words.Alloc(len(xm) + i*w + len(rest))
+		xq, cqm := words[:len(xm)+i*w], words[len(xm)+i*w:]
 		maximal := true
-		if at := bitset.FirstSupersetPacked(lq, masks, width, excl); at >= 0 {
+		nx, at := bitset.FilterAnd(xq, lq, xm, w)
+		if at >= 0 {
 			maximal = false
 			if e.collect {
 				e.metrics.SetIntersections += int64(at + 1)
 			}
 		} else {
 			if e.collect {
-				e.metrics.SetIntersections += int64(len(excl))
+				e.metrics.SetIntersections += int64(len(xm) / w)
 			}
-			if at := bitset.FirstSupersetPacked(lq, masks, width, cand[:i]); at >= 0 {
+			var n int
+			n, at = bitset.FilterAnd(xq[nx*w:], lq, cm[:i*w], w)
+			nx += n
+			if at >= 0 {
 				maximal = false
 				if e.collect {
 					e.metrics.SetIntersections += int64(at + 1)
@@ -457,64 +457,43 @@ func (e *engine) searchBitPacked(cg *bitCG, depth int, lp bitset.Mask, R []int32
 			e.metrics.NodesGenerated++
 		}
 		if !maximal {
+			e.words.Release(wordMark)
 			if e.collect {
 				e.metrics.NodesNonMaximal++
+			}
+			if prune {
+				np := bitset.PruneSubsets(lq, rest, w)
+				if e.collect {
+					e.metrics.SetIntersections += int64(rem)
+					e.metrics.NodesPruned += int64(np)
+				}
 			}
 			continue
 		}
 
-		// Node generation (lines 31-37): classify the remaining candidate
-		// block in one batched pass, then split by relation.
-		mark := e.ids.Mark()
-		rem := len(cand) - i - 1
-		rq := e.ids.Alloc(len(R) + 1 + rem)
+		idMark := e.ids.Mark()
+		nrCap := len(R) + 1 + rem
+		ids := e.ids.Alloc(nrCap + rem)
+		rq, cq := ids[:nrCap], ids[nrCap:]
 		nr := copy(rq, R)
-		rq[nr] = cg.vids[vk]
+		rq[nr] = cand[i]
 		nr++
-		cq := e.ids.Alloc(rem)
-		nc := 0
-		rels := e.relScratch(rem)
-		bitset.ClassifyPacked(lq, masks, width, cand[i+1:], rels)
-		if e.collect {
-			e.metrics.SetIntersections += int64(rem)
-		}
-		for j, rel := range rels {
-			switch rel {
-			case bitset.RelSubset:
-				rq[nr] = cg.vids[cand[i+1+j]]
-				nr++
-			case bitset.RelOverlap:
-				cq[nc] = cand[i+1+j]
-				nc++
-			}
-		}
-		// Child excluded set: previous exclusions plus this node's
-		// traversed prefix, filtered to those still overlapping L_q.
-		exq := e.ids.Alloc(len(excl) + i)
-		nx := bitset.FilterIntersectsPacked(lq, masks, width, excl, exq)
-		nx += bitset.FilterIntersectsPacked(lq, masks, width, cand[:i], exq[nx:])
+		ns, nc, np := bitset.Classify(lq, rest, w, cand[i+1:], rq[nr:], cq, cqm, prune)
+		nr += ns
 
 		if e.collect {
+			e.metrics.SetIntersections += int64(rem)
+			e.metrics.NodesPruned += int64(np)
 			e.metrics.NodesMaximal++
 			e.metrics.observeNode(lq.Count(), nc)
 		}
 		e.emitBit(cg, lq, rq[:nr])
 		if nc > 0 && (e.skipSubtree == nil || !e.skipSubtree(lq.Count(), nr, nc)) {
-			e.searchBitPacked(cg, depth+1, lq, rq[:nr], cq[:nc], exq[:nx])
+			e.searchBitPacked(cg, rq[:nr], cq[:nc], cqm[:nc*w], xq[:nx*w])
 		}
-		e.ids.Release(mark)
+		e.words.Release(wordMark)
+		e.ids.Release(idMark)
 	}
-}
-
-// relScratch returns a classification buffer of length n. One buffer per
-// engine suffices: it is consumed into R_q/C_q before any recursion, so no
-// live rels survive a nested searchBitPacked call.
-func (e *engine) relScratch(n int) []bitset.Rel {
-	if cap(e.rels) < n {
-		e.rels = make([]bitset.Rel, max(n, 2*cap(e.rels)))
-		e.chargeMem(int64(cap(e.rels)))
-	}
-	return e.rels[:n]
 }
 
 // emitBit reports a maximal biclique found in bitmap mode, materializing

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/tle"
@@ -59,7 +58,7 @@ type engine struct {
 
 	ids  slab[int32]   // vertex-id and offset scratch
 	hdrs slab[[]int32] // slice-header scratch for local-neighborhood lists
-	// words holds the one-word bitmap procedure's candidate and excluded
+	// words holds the bitmap procedure's by-value candidate and excluded
 	// masks (see searchBit1); marked and released together with ids.
 	words slab[uint64]
 
@@ -84,10 +83,6 @@ type engine struct {
 	// cg is the engine's single pooled bitmap CG (bitmap subtrees never
 	// nest; see bitCG).
 	cg bitCG
-
-	// rels is the reusable candidate-classification buffer of the batched
-	// multi-word bitwise kernels (see relScratch).
-	rels []bitset.Rel
 
 	// Optional search-pruning hooks (Options.SkipChild / SkipSubtree).
 	skipChild   func(lenL int) bool

@@ -49,14 +49,18 @@ func FuzzEnumerateAgreement(f *testing.F) {
 			{Variant: Ada, Tau: 5},
 			{Variant: Ada},
 			{Variant: Ada, Threads: 2},
+			// Padded masks put every bitmap on a multi-word kernel even on
+			// these small graphs: 4 words (unrolled) and 5 (generic).
+			{Variant: Ada, Tau: 256, PadBitmaps: true},
+			{Variant: Ada, Tau: 320, PadBitmaps: true},
 		} {
 			got, res, err := CollectKeys(g, o)
 			if err != nil {
 				t.Fatalf("%v: %v", o.Variant, err)
 			}
 			if res.Count != int64(len(want)) {
-				t.Fatalf("%v tau=%d threads=%d: count %d, want %d (|U|=%d |V|=%d |E|=%d)",
-					o.Variant, o.Tau, o.Threads, res.Count, len(want), g.NU(), g.NV(), g.NumEdges())
+				t.Fatalf("%v tau=%d threads=%d pad=%v: count %d, want %d (|U|=%d |V|=%d |E|=%d)",
+					o.Variant, o.Tau, o.Threads, o.PadBitmaps, res.Count, len(want), g.NU(), g.NV(), g.NumEdges())
 			}
 			for i := range want {
 				if got[i] != want[i] {

@@ -293,11 +293,13 @@ func TestQuickTauInvariance(t *testing.T) {
 	}
 }
 
-// TestBitWorkCountersGoldenGH pins the work the one-word bitwise procedure
-// does at the paper's τ on the GH dataset (ascending order). The golden
-// values were recorded with the index-gathering searchBit1 that the
-// by-value mask kernel replaced, so any drift means the kernel visits,
-// prunes or intersects differently, not just faster.
+// TestBitWorkCountersGoldenGH pins the work AdaMBE does at the paper's τ
+// on the GH dataset (ascending order). Count and NodesMaximal are the
+// biclique total; the other goldens were recorded when the bitwise
+// procedure started applying LN's node-pruning rule inside bitmaps, which
+// cut the generated nodes from 8,763,050 to LN's tree (TestAdaVisitsLNTree).
+// Any drift means the kernels visit, prune or intersect differently, not
+// just faster.
 func TestBitWorkCountersGoldenGH(t *testing.T) {
 	s, _ := datasets.ByName("GH")
 	g := order.Apply(s.Build(), order.DegreeAscending, 0)
@@ -311,14 +313,69 @@ func TestBitWorkCountersGoldenGH(t *testing.T) {
 		got, want int64
 	}{
 		{"Count", res.Count, 350112},
-		{"NodesGenerated", m.NodesGenerated, 8763050},
+		{"NodesGenerated", m.NodesGenerated, 845633},
 		{"NodesMaximal", m.NodesMaximal, 350112},
-		{"NodesNonMaximal", m.NodesNonMaximal, 8412938},
-		{"NodesPruned", m.NodesPruned, 78309},
-		{"SetIntersections", m.SetIntersections, 226047556},
+		{"NodesNonMaximal", m.NodesNonMaximal, 495521},
+		{"NodesPruned", m.NodesPruned, 1871552},
+		{"SetIntersections", m.SetIntersections, 133587508},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
+	}
+	if m.NodesGenerated != m.NodesMaximal+m.NodesNonMaximal {
+		t.Errorf("NodesGenerated %d != NodesMaximal %d + NodesNonMaximal %d",
+			m.NodesGenerated, m.NodesMaximal, m.NodesNonMaximal)
+	}
+}
+
+// TestAdaVisitsLNTree is the metamorphic check on bitmap pruning: AdaMBE's
+// bitwise procedure applies LN's node-pruning rule at every mask width, so
+// switching a subtree from lists to bitmaps must not change the tree.
+// Ada's node and prune counters must equal LN's at the paper's τ, the
+// default τ, a τ above every subtree's |L| and under padded masks (τ = 256
+// with PadBitmaps puts every bitmap on the 4-word kernel).
+func TestAdaVisitsLNTree(t *testing.T) {
+	graphs := map[string]func() *graph.Bipartite{"paper-example": graph.PaperExample}
+	for _, name := range []string{"UF", "TM", "SO", "GH"} {
+		s, ok := datasets.ByName(name)
+		if !ok {
+			t.Fatalf("dataset %s missing", name)
+		}
+		graphs[name] = func() *graph.Bipartite { return order.Apply(s.Build(), order.DegreeAscending, 0) }
+	}
+	type tree struct{ generated, maximal, nonMaximal, pruned int64 }
+	treeOf := func(m *Metrics) tree {
+		return tree{m.NodesGenerated, m.NodesMaximal, m.NodesNonMaximal, m.NodesPruned}
+	}
+	for name, build := range graphs {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			g := build()
+			var ln Metrics
+			if _, err := Enumerate(g, Options{Variant: LN, Metrics: &ln}); err != nil {
+				t.Fatal(err)
+			}
+			want := treeOf(&ln)
+			for _, o := range []Options{
+				{Tau: PaperTau},
+				{Tau: DefaultTau},
+				{Tau: 1024},
+				{Tau: 256, PadBitmaps: true},
+			} {
+				var m Metrics
+				o.Variant, o.Metrics = Ada, &m
+				if _, err := Enumerate(g, o); err != nil {
+					t.Fatal(err)
+				}
+				if m.BitPromotions == 0 {
+					t.Fatalf("tau=%d pad=%v: no bitmap promotions; the check is vacuous", o.Tau, o.PadBitmaps)
+				}
+				if got := treeOf(&m); got != want {
+					t.Errorf("tau=%d pad=%v: Ada tree (generated, maximal, non-maximal, pruned) = %+v, LN = %+v",
+						o.Tau, o.PadBitmaps, got, want)
+				}
+			}
+		})
 	}
 }

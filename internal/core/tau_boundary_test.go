@@ -9,8 +9,9 @@ import (
 )
 
 // tauBoundaryValues straddle every mask word boundary the unrolled kernels
-// care about: exactly one/two/four words, and one bit either side.
-var tauBoundaryValues = []int{64, 65, 127, 128, 129, 255, 256}
+// care about: exactly one/two/four words and one bit either side, then the
+// generic kernel just past the unrolled ones (257) and at five full words.
+var tauBoundaryValues = []int{64, 65, 127, 128, 129, 255, 256, 257, 320}
 
 // denseBipartite builds a graph whose root subproblems have |L| large
 // enough to exercise multi-word bitmaps: nu U-side vertices, nv V-side,
@@ -47,6 +48,9 @@ func TestTauWordBoundariesAgainstOracle(t *testing.T) {
 		{"nu=150", denseBipartite(t, 11, 150, 10, 0.6)},
 		// deg(v) ≈ 170: τ = 255/256 promotions build 3–4-word masks.
 		{"nu=340", denseBipartite(t, 13, 340, 9, 0.5)},
+		// deg(v) ≈ 300: |L| exceeds 256 at the root's children, so
+		// τ = 257/320 promotions build 5-word masks (generic kernel).
+		{"nu=600", denseBipartite(t, 17, 600, 9, 0.5)},
 	}
 	for _, gr := range graphs {
 		want := BruteForceKeys(gr.g)
@@ -85,5 +89,13 @@ func TestTauWordBoundariesAgainstOracle(t *testing.T) {
 	multi := m.BitWidthHist[1] + m.BitWidthHist[2] + m.BitWidthHist[3] + m.BitWidthHist[4]
 	if multi == 0 {
 		t.Fatalf("tau=256 on nu=340 built only 1-word bitmaps: hist %v", m.BitWidthHist)
+	}
+	// Likewise τ = 320 on the widest fixture must reach the generic kernel.
+	m = Metrics{}
+	if _, _, err := CollectKeys(graphs[2].g, Options{Variant: Ada, Tau: 320, Metrics: &m}); err != nil {
+		t.Fatal(err)
+	}
+	if wide := m.BitWidthHist[len(m.BitWidthHist)-1]; wide == 0 {
+		t.Fatalf("tau=320 on nu=600 built no masks wider than 4 words: hist %v", m.BitWidthHist)
 	}
 }

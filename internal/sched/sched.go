@@ -355,9 +355,10 @@ func (p *Pool[T]) Counters() Counters {
 //
 // Not safe for concurrent use; each worker owns one FreeList, touched only
 // from its own goroutine (Get at spawn, Put after TaskDone). The list only
-// ever holds nodes that have left the pool, so its length is bounded by the
-// worker's share of the peak in-flight task footprint, not by spawn
-// traffic.
+// ever holds nodes that have left the pool, but it does not bound itself:
+// a worker that runs many stolen tasks and spawns few would park every
+// one, so a caller with such workers stops Putting past a cap of its own
+// (internal/core's nodeArena does).
 type FreeList[T any] struct {
 	free   []*T
 	hits   int64
