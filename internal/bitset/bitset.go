@@ -287,20 +287,6 @@ func (m Mask) Set(i int) { m[i>>logWord] |= 1 << (uint(i) & wordMask) }
 // Has reports whether bit i is set.
 func (m Mask) Has(i int) bool { return m[i>>logWord]&(1<<(uint(i)&wordMask)) != 0 }
 
-// FillLow sets the lowest n bits (the "all of L*" mask).
-func (m Mask) FillLow(n int) {
-	for i := range m {
-		m[i] = 0
-	}
-	full := n >> logWord
-	for i := 0; i < full; i++ {
-		m[i] = ^uint64(0)
-	}
-	if rem := uint(n) & wordMask; rem != 0 {
-		m[full] = (1 << rem) - 1
-	}
-}
-
 // ForEach calls fn with each set bit index in ascending order.
 func (m Mask) ForEach(fn func(i int)) {
 	for wi, w := range m {

@@ -224,24 +224,6 @@ func TestMaskBasics(t *testing.T) {
 	}
 }
 
-func TestMaskFillLow(t *testing.T) {
-	for _, tc := range []struct{ width, n int }{
-		{1, 0}, {1, 1}, {1, 63}, {1, 64}, {2, 64}, {2, 65}, {2, 128}, {3, 130},
-	} {
-		a := NewMaskArena(tc.width)
-		m := a.New()
-		m.FillLow(tc.n)
-		if got := m.Count(); got != tc.n {
-			t.Fatalf("width %d FillLow(%d): Count = %d", tc.width, tc.n, got)
-		}
-		for i := 0; i < tc.width*64; i++ {
-			if m.Has(i) != (i < tc.n) {
-				t.Fatalf("width %d FillLow(%d): bit %d = %v", tc.width, tc.n, i, m.Has(i))
-			}
-		}
-	}
-}
-
 func TestMaskAndSubsetEqual(t *testing.T) {
 	a := NewMaskArena(2)
 	x, y, z := a.New(), a.New(), a.New()
@@ -326,7 +308,9 @@ func TestWordsFor(t *testing.T) {
 func BenchmarkMaskAnd1Word(b *testing.B) {
 	a := NewMaskArena(1)
 	x, y, z := a.New(), a.New(), a.New()
-	x.FillLow(40)
+	for i := 0; i < 40; i++ {
+		x.Set(i)
+	}
 	y.Set(3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

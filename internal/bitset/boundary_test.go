@@ -166,30 +166,3 @@ func TestMaskBoundaryWidths(t *testing.T) {
 		}
 	}
 }
-
-// TestMaskFillLowBoundary pins FillLow's partial-last-word handling: n
-// exactly at, one under, and one over each word boundary.
-func TestMaskFillLowBoundary(t *testing.T) {
-	for _, width := range boundaryWidths {
-		words := WordsFor(width)
-		m := make(Mask, words)
-		for _, n := range []int{0, 1, 63, 64, min(65, width), width - 1, width} {
-			if n > width {
-				continue
-			}
-			// Pre-dirty the mask so FillLow must clear high bits too.
-			for i := range m {
-				m[i] = ^uint64(0)
-			}
-			m.FillLow(n)
-			if got := m.Count(); got != n {
-				t.Fatalf("width %d: FillLow(%d) set %d bits", width, n, got)
-			}
-			for i := 0; i < width; i++ {
-				if m.Has(i) != (i < n) {
-					t.Fatalf("width %d: FillLow(%d): Has(%d) = %v", width, n, i, m.Has(i))
-				}
-			}
-		}
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"repro/internal/bitset"
+	"repro/internal/obs"
 )
 
 // bitCG is a bitmap-represented computational subgraph (§III-B): one
@@ -107,12 +108,11 @@ func (e *engine) observeBitmap(width int) {
 }
 
 // buildBitCGFromLN materializes the bitmap CG from a node's cached local
-// neighborhoods (Algorithm 2 line 5, reached from the LN procedure). No
-// global adjacency is touched: U_bit = L*, V_bit = live candidates plus the
-// live excluded set, and each mask is the vertex's local neighborhood
-// re-encoded as bits.
+// neighborhoods (Algorithm 2 line 5, reached from the LN procedure below
+// the root). No global adjacency is touched: U_bit = L*, V_bit = live
+// candidates plus the live excluded set, and each mask is the vertex's
+// local neighborhood re-encoded as bits.
 func (e *engine) buildBitCGFromLN(L []int32, candIDs []int32, candNbrs [][]int32, exclIDs []int32, exclNbrs [][]int32) *bitCG {
-	e.faultStep(SiteBitmap)
 	epoch := e.stampEpoch()
 	for pos, u := range L {
 		e.uMark[u] = epoch
@@ -145,7 +145,6 @@ func (e *engine) buildBitCGFromLN(L []int32, candIDs []int32, candNbrs [][]int32
 	for j, x := range exclIDs {
 		fill(x, exclNbrs[j])
 	}
-	e.observeBitmap(width)
 	return cg
 }
 
@@ -155,7 +154,6 @@ func (e *engine) buildBitCGFromLN(L []int32, candIDs []int32, candNbrs [][]int32
 // registered first so candidate order is preserved, and every other member
 // of V_bit forming the excluded set.
 func (e *engine) buildBitCGGlobal(L, R, cand []int32) *bitCG {
-	e.faultStep(SiteBitmap)
 	epoch := e.stampEpoch()
 	for pos, u := range L {
 		e.uMark[u] = epoch
@@ -189,29 +187,42 @@ func (e *engine) buildBitCGGlobal(L, R, cand []int32) *bitCG {
 			cg.masks[int(k)*width+(pos>>6)] |= 1 << (uint(pos) & 63)
 		}
 	}
-	e.observeBitmap(width)
 	return cg
 }
 
-// searchBitRoot seeds the bitwise procedure over a freshly built bitmap CG.
-// The builder's storage is already laid out as the procedure carries it:
-// candidate V ids with their masks first, then the excluded masks, every
-// mask inside L* and so already ANDed with the root's L. One-word CGs
-// (|L*| ≤ 64) dispatch to the scalar specialization searchBit1, realizing
-// the paper's "each set intersection is a single bitwise AND between two
-// 64-bit integers"; wider masks (unrolled kernels up to
-// 64·bitset.SmallStrideMax bits, a generic word loop beyond) run
-// searchBitPacked.
+// searchBitRoot hands a node over to the bitwise procedure (Algorithm 2,
+// lines 4-7) over a freshly built bitmap CG. The builder's storage is
+// already laid out as the procedure carries it: candidate V ids with their
+// masks first, then the excluded masks, every mask inside L* and so already
+// ANDed with the node's L.
 func (e *engine) searchBitRoot(cg *bitCG, R []int32) {
-	t0, timed := e.enterSmallTimer(len(cg.lids))
-	cand := cg.vids[:cg.nCand]
 	split := cg.nCand * cg.width
+	e.searchBitNode(cg, R, cg.vids[:cg.nCand], cg.masks[:split], cg.masks[split:])
+}
+
+// searchBitNode runs the bitwise procedure from a bitmap node: cand and cm
+// are its candidates and their masks, xm its excluded masks, and cg
+// supplies the mask width and L* (for emission). Every builder and every
+// detached bitmap task enters here, so a promotion, its bitmap and the
+// SiteBitmap fault site are recorded once per bitmap that is searched.
+// One-word CGs (|L*| ≤ 64) dispatch to the scalar specialization
+// searchBit1, realizing the paper's "each set intersection is a single
+// bitwise AND between two 64-bit integers"; wider masks (unrolled kernels
+// up to 64·bitset.SmallStrideMax bits, a generic word loop beyond) run
+// searchBitPacked.
+func (e *engine) searchBitNode(cg *bitCG, R, cand []int32, cm, xm []uint64) {
+	e.notePromotion()
+	e.faultStep(SiteBitmap)
+	e.observeBitmap(cg.width)
+	reg := obs.TraceRegion("mbe/bit-subtree")
+	t0, timed := e.enterSmallTimer(len(cg.lids))
 	if cg.width == 1 {
-		e.searchBit1(cg, R, cand, cg.masks[:split], cg.masks[split:])
+		e.searchBit1(cg, R, cand, cm, xm)
 	} else {
-		e.searchBitPacked(cg, R, cand, cg.masks[:split], cg.masks[split:])
+		e.searchBitPacked(cg, R, cand, cm, xm)
 	}
 	e.exitSmallTimer(t0, timed)
+	reg.End()
 }
 
 // searchBit1 is the bitwise procedure specialized to one-word masks, with

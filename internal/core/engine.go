@@ -4,6 +4,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/tle"
@@ -76,6 +77,10 @@ type engine struct {
 	// must detach (deep-copy) them before returning true. depth is the
 	// enumeration-tree depth of the offered node.
 	spawn func(L, R, candIDs []int32, candNbrs [][]int32, exclIDs []int32, exclNbrs [][]int32, depth int) bool
+	// spawnBit is spawn for a root child built as a bitmap node: cand are
+	// its candidates and words their masks, width words each, followed by
+	// the excluded masks.
+	spawnBit func(L, R, cand []int32, words []uint64, width int) bool
 
 	// allU caches [0, NU) for the root node.
 	allU []int32
@@ -298,8 +303,11 @@ func (e *engine) runGlobalRoot() {
 }
 
 // runLNRoot runs the root loop of the LN engines: children are generated
-// from two-hop neighborhoods, their local-neighborhood caches are
-// materialized, and the LN pruning rule applies across root candidates.
+// from two-hop neighborhoods and the LN pruning rule applies across root
+// candidates. Under AdaMBE a child with |L'| ≤ τ, which the bitwise
+// procedure would take over at once (Algorithm 2, lines 4-7), is built
+// straight into a bitmap CG (rootChildBit); every other child gets its
+// local-neighborhood lists materialized (rootChildLN).
 func (e *engine) runLNRoot() {
 	g := e.g
 	nv := g.NV()
@@ -326,92 +334,11 @@ func (e *engine) runLNRoot() {
 			continue
 		}
 		e.gatherTwoHop(vp, lq, pruned, &rs)
-		ep := e.stampL(lq)
-
-		idMark := e.ids.Mark()
-		hdrMark := e.hdrs.Mark()
-		rq := e.ids.Alloc(1 + len(rs.suffix))
-		rq[0] = vp
-		nr := 1
-		cqIDs := e.ids.Alloc(len(rs.suffix))
-		cqNbrs := e.hdrs.Alloc(len(rs.suffix))
-		nc := 0
-		for _, vc := range rs.suffix {
-			nb := g.NeighborsOfV(vc) // root local neighborhood = N(v_c)
-			buf := e.ids.Alloc(min(len(lq), len(nb)))
-			m := e.localIntersect(buf, lq, nb, ep)
-			e.ids.ShrinkLast(len(buf), m)
-			if e.collect {
-				e.metrics.SetIntersections++
-				e.metrics.AccessesInsideCG += int64(len(lq) + len(nb))
-			}
-			if m == len(nb) {
-				pruned[vc] = true
-				if e.collect {
-					e.metrics.NodesPruned++
-				}
-			}
-			switch {
-			case m == len(lq):
-				rq[nr] = vc
-				nr++
-				e.ids.ShrinkLast(m, 0)
-			default: // m > 0 by two-hop membership
-				cqIDs[nc] = vc
-				cqNbrs[nc] = buf[:m]
-				nc++
-			}
+		if e.variant == Ada && len(lq) <= e.tau {
+			e.rootChildBit(vp, lq, pruned, &rs)
+		} else {
+			e.rootChildLN(vp, lq, pruned, &rs)
 		}
-
-		maximal := true
-		exIDs := e.ids.Alloc(len(rs.prefix))
-		exNbrs := e.hdrs.Alloc(len(rs.prefix))
-		nx := 0
-		for _, x := range rs.prefix {
-			nb := g.NeighborsOfV(x)
-			buf := e.ids.Alloc(min(len(lq), len(nb)))
-			m := e.localIntersect(buf, lq, nb, ep)
-			e.ids.ShrinkLast(len(buf), m)
-			if e.collect {
-				e.metrics.SetIntersections++
-				e.metrics.AccessesInsideCG += int64(len(lq) + len(nb))
-			}
-			if m == len(lq) {
-				maximal = false
-				break
-			}
-			if m > 0 {
-				exIDs[nx] = x
-				exNbrs[nx] = buf[:m]
-				nx++
-			}
-		}
-
-		e.probe.NodeLN()
-		if e.collect {
-			e.metrics.NodesGenerated++
-		}
-		if maximal {
-			if e.collect {
-				e.metrics.NodesMaximal++
-				e.metrics.observeNode(len(lq), nc)
-			}
-			e.emit(lq, rq[:nr])
-			if nc > 0 && (e.skipSubtree == nil || !e.skipSubtree(len(lq), nr, nc)) {
-				if e.spawn != nil &&
-					e.spawn(lq, rq[:nr], cqIDs[:nc], cqNbrs[:nc], exIDs[:nx], exNbrs[:nx], 1) {
-					// Subtree handed to the parallel scheduler.
-				} else {
-					t0, timed := e.enterSmallTimer(len(lq))
-					e.searchLN(lq, rq[:nr], cqIDs[:nc], cqNbrs[:nc], exIDs[:nx], exNbrs[:nx], 1)
-					e.exitSmallTimer(t0, timed)
-				}
-			}
-		} else if e.collect {
-			e.metrics.NodesNonMaximal++
-		}
-		e.ids.Release(idMark)
-		e.hdrs.Release(hdrMark)
 		// Mirror of runGlobalRoot: never report a stop-interrupted root as
 		// inline-done — its durable output may be partial, and the resume
 		// protocol only re-enumerates roots at or above the watermark.
@@ -420,6 +347,195 @@ func (e *engine) runLNRoot() {
 		}
 		e.rootDone(vp)
 	}
+}
+
+// rootChildLN generates root child v' (L' = lq) as an LN node: each
+// two-hop vertex's local neighborhood N(v_c) ∩ L' is intersected into a
+// list, and the child is searched (or offered to the scheduler) by searchLN.
+func (e *engine) rootChildLN(vp int32, lq []int32, pruned []bool, rs *rootScratch) {
+	g := e.g
+	ep := e.stampL(lq)
+	idMark := e.ids.Mark()
+	hdrMark := e.hdrs.Mark()
+	defer e.ids.Release(idMark)
+	defer e.hdrs.Release(hdrMark)
+	rq := e.ids.Alloc(1 + len(rs.suffix))
+	rq[0] = vp
+	nr := 1
+	cqIDs := e.ids.Alloc(len(rs.suffix))
+	cqNbrs := e.hdrs.Alloc(len(rs.suffix))
+	nc := 0
+	for _, vc := range rs.suffix {
+		nb := g.NeighborsOfV(vc) // root local neighborhood = N(v_c)
+		buf := e.ids.Alloc(min(len(lq), len(nb)))
+		m := e.localIntersect(buf, lq, nb, ep)
+		e.ids.ShrinkLast(len(buf), m)
+		if e.collect {
+			e.metrics.SetIntersections++
+			e.metrics.AccessesInsideCG += int64(len(lq) + len(nb))
+		}
+		if m == len(nb) {
+			pruned[vc] = true
+			if e.collect {
+				e.metrics.NodesPruned++
+			}
+		}
+		switch {
+		case m == len(lq):
+			rq[nr] = vc
+			nr++
+			e.ids.ShrinkLast(m, 0)
+		default: // m > 0 by two-hop membership
+			cqIDs[nc] = vc
+			cqNbrs[nc] = buf[:m]
+			nc++
+		}
+	}
+
+	exIDs := e.ids.Alloc(len(rs.prefix))
+	exNbrs := e.hdrs.Alloc(len(rs.prefix))
+	nx := 0
+	for _, x := range rs.prefix {
+		nb := g.NeighborsOfV(x)
+		buf := e.ids.Alloc(min(len(lq), len(nb)))
+		m := e.localIntersect(buf, lq, nb, ep)
+		e.ids.ShrinkLast(len(buf), m)
+		if e.collect {
+			e.metrics.SetIntersections++
+			e.metrics.AccessesInsideCG += int64(len(lq) + len(nb))
+		}
+		if m == len(lq) {
+			e.rootNonMaximal()
+			return
+		}
+		if m > 0 {
+			exIDs[nx] = x
+			exNbrs[nx] = buf[:m]
+			nx++
+		}
+	}
+
+	if !e.rootMaximal(lq, rq[:nr], nc) {
+		return
+	}
+	if e.spawn != nil &&
+		e.spawn(lq, rq[:nr], cqIDs[:nc], cqNbrs[:nc], exIDs[:nx], exNbrs[:nx], 1) {
+		return // subtree handed to the parallel scheduler
+	}
+	t0, timed := e.enterSmallTimer(len(lq))
+	e.searchLN(lq, rq[:nr], cqIDs[:nc], cqNbrs[:nc], exIDs[:nx], exNbrs[:nx], 1)
+	e.exitSmallTimer(t0, timed)
+}
+
+// rootChildBit generates root child v' (L' = lq, |L'| ≤ τ) straight into
+// the engine's bitmap CG from global adjacency, as §III-B builds V_bit:
+// the two-hop suffix takes mask indices 0..ns-1 and the prefix ns.., and
+// one pass over every (u ∈ L', w ∈ N(u)) edge sets bit pos(u) in w's mask.
+// A mask's popcount is then |N(v_c) ∩ L'|, which classifies the vertex
+// exactly as rootChildLN's list intersection would — R' when it equals
+// |L'|, LN's root prune when it equals deg(v_c), a candidate otherwise,
+// and for a prefix vertex a maximality violation when it equals |L'| —
+// and every counter is charged on the same events. Candidate masks are
+// compacted in place, the excluded masks after them, so the CG is laid out
+// as the bitwise procedure carries it.
+func (e *engine) rootChildBit(vp int32, lq []int32, pruned []bool, rs *rootScratch) {
+	g := e.g
+	ns := len(rs.suffix)
+	epoch := e.stampEpoch()
+	for k, v := range rs.suffix {
+		e.vMark[v] = epoch
+		e.vVal[v] = int32(k)
+	}
+	for k, v := range rs.prefix {
+		e.vMark[v] = epoch
+		e.vVal[v] = int32(ns + k)
+	}
+	w := e.maskWidth(len(lq))
+	cg := &e.cg
+	cg.reset(w, lq, ns+len(rs.prefix))
+	masks := cg.masks
+	for pos, u := range lq {
+		word, bit := pos>>6, uint64(1)<<(uint(pos)&63)
+		for _, v := range g.NeighborsOfU(u) {
+			if e.vMark[v] == epoch {
+				masks[int(e.vVal[v])*w+word] |= bit
+			}
+		}
+	}
+
+	idMark := e.ids.Mark()
+	defer e.ids.Release(idMark)
+	rq := e.ids.Alloc(1 + ns)
+	rq[0] = vp
+	nr := 1
+	for k, vc := range rs.suffix {
+		mask := masks[k*w : (k+1)*w]
+		m, deg := bitset.Mask(mask).Count(), g.DegV(vc)
+		if e.collect {
+			e.metrics.SetIntersections++
+			e.metrics.AccessesInsideCG += int64(len(lq) + deg)
+		}
+		if m == deg {
+			pruned[vc] = true
+			if e.collect {
+				e.metrics.NodesPruned++
+			}
+		}
+		if m == len(lq) {
+			rq[nr] = vc
+			nr++
+			continue
+		}
+		copy(masks[len(cg.vids)*w:], mask)
+		cg.vids = append(cg.vids, vc)
+	}
+	nc := len(cg.vids)
+	cg.nCand = nc
+	for k, x := range rs.prefix {
+		mask := masks[(ns+k)*w : (ns+k+1)*w]
+		m := bitset.Mask(mask).Count()
+		if e.collect {
+			e.metrics.SetIntersections++
+			e.metrics.AccessesInsideCG += int64(len(lq) + g.DegV(x))
+		}
+		if m == len(lq) {
+			e.rootNonMaximal()
+			return
+		}
+		copy(masks[len(cg.vids)*w:], mask)
+		cg.vids = append(cg.vids, x)
+	}
+	cg.masks = masks[:len(cg.vids)*w]
+
+	if !e.rootMaximal(lq, rq[:nr], nc) {
+		return
+	}
+	if e.spawnBit != nil && e.spawnBit(lq, rq[:nr], cg.vids[:nc], cg.masks, w) {
+		return // subtree handed to the parallel scheduler
+	}
+	e.searchBitRoot(cg, rq[:nr])
+}
+
+// rootNonMaximal counts a root child that failed the maximality check.
+func (e *engine) rootNonMaximal() {
+	e.probe.NodeLN()
+	if e.collect {
+		e.metrics.NodesGenerated++
+		e.metrics.NodesNonMaximal++
+	}
+}
+
+// rootMaximal counts and emits a maximal root child (L', R') with nc
+// candidates, and reports whether its subtree is to be searched.
+func (e *engine) rootMaximal(lq, rq []int32, nc int) bool {
+	e.probe.NodeLN()
+	if e.collect {
+		e.metrics.NodesGenerated++
+		e.metrics.NodesMaximal++
+		e.metrics.observeNode(len(lq), nc)
+	}
+	e.emit(lq, rq)
+	return nc > 0 && (e.skipSubtree == nil || !e.skipSubtree(len(lq), len(rq), nc))
 }
 
 // emit reports one maximal biclique.

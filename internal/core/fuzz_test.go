@@ -53,6 +53,9 @@ func FuzzEnumerateAgreement(f *testing.F) {
 			// these small graphs: 4 words (unrolled) and 5 (generic).
 			{Variant: Ada, Tau: 256, PadBitmaps: true},
 			{Variant: Ada, Tau: 320, PadBitmaps: true},
+			// Root children detached to other workers as multi-word
+			// bitmap nodes.
+			{Variant: Ada, Threads: 2, Tau: 256, PadBitmaps: true},
 		} {
 			got, res, err := CollectKeys(g, o)
 			if err != nil {

@@ -329,6 +329,45 @@ func TestBitWorkCountersGoldenGH(t *testing.T) {
 	}
 }
 
+// TestRootBitmapCountersGoldenGH pins the work AdaMBE charges at the
+// default τ on GH (ascending order), where every root child is built
+// straight into a bitmap from adjacency and, with two threads, detached to
+// other workers as a bitmap node. The goldens were recorded when root
+// children were still built as LN lists and re-encoded as bits: the
+// adjacency build must charge one set intersection and the same accesses
+// per classified vertex, and promote, build and prune exactly as before.
+func TestRootBitmapCountersGoldenGH(t *testing.T) {
+	s, _ := datasets.ByName("GH")
+	g := order.Apply(s.Build(), order.DegreeAscending, 0)
+	for _, threads := range []int{1, 2} {
+		var m Metrics
+		res, err := Enumerate(g, Options{Variant: Ada, Threads: threads, Metrics: &m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want int64
+		}{
+			{"Count", res.Count, 350112},
+			{"NodesGenerated", m.NodesGenerated, 845633},
+			{"NodesPruned", m.NodesPruned, 1871552},
+			{"SetIntersections", m.SetIntersections, 140664465},
+			{"AccessesInsideCG", m.AccessesInsideCG, 186043798},
+			{"AccessesOutsideCG", m.AccessesOutsideCG, 0},
+			{"BitPromotions", m.BitPromotions, 2187},
+			{"BitmapsCreated", m.BitmapsCreated, 2187},
+		} {
+			if c.got != c.want {
+				t.Errorf("threads=%d: %s = %d, want %d", threads, c.name, c.got, c.want)
+			}
+		}
+		if want := [5]int64{1510, 654, 23, 0, 0}; m.BitWidthHist != want {
+			t.Errorf("threads=%d: BitWidthHist = %v, want %v", threads, m.BitWidthHist, want)
+		}
+	}
+}
+
 // TestAdaVisitsLNTree is the metamorphic check on bitmap pruning: AdaMBE's
 // bitwise procedure applies LN's node-pruning rule at every mask width, so
 // switching a subtree from lists to bitmaps must not change the tree.

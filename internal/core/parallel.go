@@ -143,10 +143,10 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 			if shard != nil {
 				shard.charge = e.chargeMem
 			}
-			// Worker-local spawn arena. Ownership follows the task: nodes
-			// this worker executes — its own pops and its steals alike —
-			// are recycled into this arena after runTask's last defer has
-			// fired, then reused by this worker's next detach.
+			// Worker-local spawn arena. Every node this worker executes —
+			// its own pops and its steals alike — is recycled after
+			// runTask's last defer has fired, back into the arena that
+			// detached it, and reused by that worker's next detach.
 			var arena nodeArena
 			// Drain this worker's results on every exit path — normal pool
 			// drain, early stop, or a panic unwinding past the task-level
@@ -177,8 +177,13 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 					metricsMu.Unlock()
 				}
 			}()
-			e.spawn = func(L, R, candIDs []int32, candNbrs [][]int32, exclIDs []int32, exclNbrs [][]int32, depth int) bool {
-				if !shouldSpawn(pool, w, len(candIDs)) {
+			// admit decides a spawn offer of a node with nCand candidates
+			// and runs the spawn fault site; queue finishes a detached node
+			// and pushes it. CanPush held in admit, and only this worker
+			// pushes to this deque: the slot is reserved, the copy in
+			// between cannot be wasted and the push cannot fail.
+			admit := func(nCand int) bool {
+				if !shouldSpawn(pool, w, nCand) {
 					e.metrics.TasksInlined++
 					return false
 				}
@@ -188,10 +193,9 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 						return false
 					}
 				}
-				// CanPush held above, and only this worker pushes to this
-				// deque: the slot is reserved, the copy cannot be wasted
-				// and the push cannot fail.
-				n, reused := arena.detach(L, R, candIDs, candNbrs, exclIDs, exclNbrs)
+				return true
+			}
+			queue := func(n *detachedNode, reused bool, depth int) {
 				if reused {
 					e.probe.ArenaReuse()
 				}
@@ -205,6 +209,21 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 					fr.TaskSpawned(n.root)
 				}
 				pool.Push(w, n)
+			}
+			e.spawn = func(L, R, candIDs []int32, candNbrs [][]int32, exclIDs []int32, exclNbrs [][]int32, depth int) bool {
+				if !admit(len(candIDs)) {
+					return false
+				}
+				n, reused := arena.detach(L, R, candIDs, candNbrs, exclIDs, exclNbrs)
+				queue(n, reused, depth)
+				return true
+			}
+			e.spawnBit = func(L, R, cand []int32, words []uint64, width int) bool {
+				if !admit(len(cand)) {
+					return false
+				}
+				n, reused := arena.detachBit(L, R, cand, words, width)
+				queue(n, reused, 1)
 				return true
 			}
 
@@ -250,9 +269,18 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 				if e.stop.Poll() {
 					return
 				}
-				if n.isRoot {
+				switch {
+				case n.isRoot:
 					e.runLNRoot()
-				} else {
+				case n.width > 0:
+					// A bitmap node: its masks are already laid out as the
+					// bitwise procedure carries them, so the engine's CG
+					// only needs the width and L* for emission.
+					e.curRoot = n.root
+					e.cg.width, e.cg.lids = n.width, n.L
+					split := len(n.candIDs) * n.width
+					e.searchBitNode(&e.cg, n.R, n.candIDs, n.words[:split], n.words[split:])
+				default:
 					e.curRoot = n.root
 					e.searchLN(n.L, n.R, n.candIDs, n.candNbrs, n.exclIDs, n.exclNbrs, n.depth)
 				}
@@ -265,10 +293,13 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 				}
 				runTask(n)
 				// runTask has returned, so every reference the task's defers
-				// held (frontier report, gauge release) is dead; searchLN does
-				// not retain its argument slices and spawn deep-copies into a
-				// fresh node, so the shell and its backing buffers are free to
-				// reuse. The root marker recycles harmlessly (empty buffers).
+				// held (frontier report, gauge release) is dead; searchLN and
+				// the bitwise procedure do not retain their argument slices
+				// (e.cg.lids still points at a bitmap node's L, but nothing
+				// reads it before the next bitmap replaces it), and spawn
+				// deep-copies into a fresh node, so the shell and its backing
+				// buffers are free to reuse. The root marker recycles
+				// harmlessly (empty buffers).
 				arena.recycle(n)
 			}
 		}(w)

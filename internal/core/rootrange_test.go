@@ -2,8 +2,11 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 func TestValidateRootRange(t *testing.T) {
@@ -33,12 +36,45 @@ func TestValidateRootRange(t *testing.T) {
 	}
 }
 
+// nestedBipartite builds a graph whose V neighborhoods mostly nest
+// (N(v_i) ⊇ U[0, nu-i) plus random extra edges), so a root range that
+// starts past v_i leaves roots whose L' an unpruned prefix vertex covers:
+// the root loop's own maximality check, not LN's root prune, must reject
+// them.
+func nestedBipartite(t testing.TB, seed int64, nu, nv, extra int) *graph.Bipartite {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var edges []graph.Edge
+	for v := 0; v < nv; v++ {
+		for u := 0; u < nu-v; u++ {
+			edges = append(edges, graph.Edge{U: int32(u), V: int32(v)})
+		}
+	}
+	for i := 0; i < extra; i++ {
+		edges = append(edges, graph.Edge{U: int32(rng.Intn(nu)), V: int32(rng.Intn(nv))})
+	}
+	g, err := graph.FromEdges(nu, nv, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestEndRootPartitionsOutput: for every engine configuration, cutting
 // the root space at any point yields two runs whose outputs are
 // disjoint and union to the full run — the exactness property the
 // distributed sharding layer (internal/dist) is built on.
 func TestEndRootPartitionsOutput(t *testing.T) {
-	g := randomBipartite(t, 77, 20, 14, 90)
+	for _, g := range []*graph.Bipartite{
+		randomBipartite(t, 77, 20, 14, 90),
+		nestedBipartite(t, 79, 20, 14, 12),
+	} {
+		checkEndRootPartitions(t, g)
+	}
+}
+
+func checkEndRootPartitions(t *testing.T, g *graph.Bipartite) {
+	t.Helper()
 	nv := int32(g.NV())
 	for _, opts := range allConfigs() {
 		full, _, err := CollectKeys(g, opts)

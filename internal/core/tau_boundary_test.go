@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/graph"
 )
 
@@ -97,5 +98,74 @@ func TestTauWordBoundariesAgainstOracle(t *testing.T) {
 	}
 	if wide := m.BitWidthHist[len(m.BitWidthHist)-1]; wide == 0 {
 		t.Fatalf("tau=320 on nu=600 built no masks wider than 4 words: hist %v", m.BitWidthHist)
+	}
+}
+
+// tauRootsBipartite builds a graph whose first root child has |L'| = τ
+// exactly (V0 = U[0, τ)) and whose second has τ + 1 (V1 = U[1, τ+1]), so
+// the root loop builds one as a bitmap and the other as LN lists; the
+// remaining V vertices connect to a random half of U.
+func tauRootsBipartite(t testing.TB, seed int64, tau int) *graph.Bipartite {
+	t.Helper()
+	const nv = 10
+	nu := tau + 40
+	rng := rand.New(rand.NewSource(seed))
+	var edges []graph.Edge
+	for u := 0; u < nu; u++ {
+		if u < tau {
+			edges = append(edges, graph.Edge{U: int32(u), V: 0})
+		}
+		if u >= 1 && u <= tau+1 {
+			edges = append(edges, graph.Edge{U: int32(u), V: 1})
+		}
+		for v := 2; v < nv; v++ {
+			if rng.Float64() < 0.5 {
+				edges = append(edges, graph.Edge{U: int32(u), V: int32(v)})
+			}
+		}
+	}
+	g, err := graph.FromEdges(nu, nv, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestTauRootBoundary checks the root loop on both sides of τ against the
+// brute-force oracle, serial and parallel: a root child with |N(v')| = τ
+// is built straight into a bitmap (one promotion for the whole root
+// subtree, at the root's own mask width), and one with τ + 1 is built as
+// LN lists whose children promote one by one.
+func TestTauRootBoundary(t *testing.T) {
+	for _, tau := range tauBoundaryValues {
+		g := tauRootsBipartite(t, int64(tau), tau)
+		want := BruteForceKeys(g)
+		for _, threads := range []int{1, 2} {
+			name := fmt.Sprintf("tau=%d/threads=%d", tau, threads)
+			got, res, err := CollectKeys(g, Options{Variant: Ada, Tau: tau, Threads: threads})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if res.Count != int64(len(want)) || !keysEqual(got, want) {
+				t.Fatalf("%s: got %d bicliques, want %d", name, res.Count, len(want))
+			}
+
+			var bit, ln Metrics
+			if _, err := Enumerate(g, Options{Variant: Ada, Tau: tau, Threads: threads, StartRoot: 0, EndRoot: 1, Metrics: &bit}); err != nil {
+				t.Fatal(err)
+			}
+			width := min(bitset.WordsFor(tau), len(bit.BitWidthHist))
+			if bit.BitPromotions != 1 || bit.BitmapsCreated != 1 || bit.BitWidthHist[width-1] != 1 {
+				t.Fatalf("%s: |L'| = τ root: %d promotions, width hist %v; want one %d-word root bitmap",
+					name, bit.BitPromotions, bit.BitWidthHist, width)
+			}
+			if _, err := Enumerate(g, Options{Variant: Ada, Tau: tau, Threads: threads, StartRoot: 1, EndRoot: 2, Metrics: &ln}); err != nil {
+				t.Fatal(err)
+			}
+			if ln.BitPromotions < 2 {
+				t.Fatalf("%s: |L'| = τ+1 root: %d promotions; want an LN root with several promoted children",
+					name, ln.BitPromotions)
+			}
+		}
 	}
 }

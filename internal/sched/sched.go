@@ -347,18 +347,17 @@ func (p *Pool[T]) Counters() Counters {
 }
 
 // FreeList is a worker-local recycling stack for task objects, closing the
-// allocation loop of the task lifecycle: the worker that finishes a task
-// Puts its shell (retained buffers and all) and the next spawn Gets it back
-// instead of allocating. Ownership follows the task — a node detached by
-// worker A and executed by thief B lands on B's free list, which is exactly
-// right: B is also the worker about to spawn from the stolen subtree.
+// allocation loop of the task lifecycle: a finished task's shell (retained
+// buffers and all) is Put back and the next spawn Gets it instead of
+// allocating. Which worker's list a finished shell lands on is the
+// caller's choice; internal/core's nodeArena returns it to the worker that
+// detached it, the one that will spawn again.
 //
 // Not safe for concurrent use; each worker owns one FreeList, touched only
-// from its own goroutine (Get at spawn, Put after TaskDone). The list only
-// ever holds nodes that have left the pool, but it does not bound itself:
-// a worker that runs many stolen tasks and spawns few would park every
-// one, so a caller with such workers stops Putting past a cap of its own
-// (internal/core's nodeArena does).
+// from its own goroutine (Get at spawn, Put after TaskDone or when taking
+// back shells other workers returned). The list only ever holds nodes that
+// have left the pool, but it does not bound itself, so a caller stops
+// Putting past a cap of its own (nodeArena does).
 type FreeList[T any] struct {
 	free   []*T
 	hits   int64
