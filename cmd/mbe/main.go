@@ -43,6 +43,7 @@ import (
 	mbe "repro"
 	"repro/internal/ckpt"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/spool"
 )
@@ -61,7 +62,7 @@ func main() {
 		algo      = flag.String("a", "AdaMBE", "algorithm: "+strings.Join(mbe.AlgorithmNames, "|"))
 		threads   = flag.Int("t", 0, "threads for parallel algorithms (0 = all cores)")
 		tau       = flag.Int("tau", 0, fmt.Sprintf("bitmap threshold τ (0 = core.DefaultTau = %d)", core.DefaultTau))
-		ord       = flag.String("o", "asc", "vertex ordering for the AdaMBE family: asc|rand|uc|none")
+		ord       = flag.String("o", "asc", "vertex ordering for the AdaMBE family and BBK: "+strings.Join(mbe.OrderingNames, "|"))
 		seed      = flag.Int64("seed", 0, "seed for -o rand")
 		tle       = flag.Duration("tle", 0, "time budget (0 = unlimited); partial count reported on expiry")
 		maxMem    = flag.Int64("maxmem", 0, "soft engine-memory budget in MiB (0 = unlimited); partial count reported when exceeded")
@@ -295,19 +296,17 @@ func startObs(opts *mbe.Options, g *mbe.Graph, a mbe.Algorithm, dataset string,
 	if progress <= 0 && events == "" && !debug {
 		return func(string) {}
 	}
-	width := 1
-	switch a {
-	case mbe.ParAdaMBE, mbe.ParMBE, mbe.GMBESim:
-		width = threads
-		if width == 0 {
-			width = runtime.GOMAXPROCS(0)
-		}
+	e, _ := engine.ID(a).Engine()
+	width := threads
+	if width == 0 {
+		width = runtime.GOMAXPROCS(0)
 	}
+	width = e.Width(width)
 	rec := mbe.NewRecorder(mbe.RunInfo{
 		Algorithm: a.String(), Dataset: dataset, Threads: width,
 		NU: g.NU(), NV: g.NV(), Edges: g.NumEdges(),
 	})
-	external := !isCoreAlgorithm(a)
+	external := !e.Core()
 	if external {
 		// The competitor engines carry no probes: feed the biclique counter
 		// from the delivery handler so the sampler still sees live counts,
@@ -356,14 +355,6 @@ func startObs(opts *mbe.Options, g *mbe.Graph, a mbe.Algorithm, dataset string,
 			}
 		}
 	}
-}
-
-func isCoreAlgorithm(a mbe.Algorithm) bool {
-	switch a {
-	case mbe.AdaMBE, mbe.ParAdaMBE, mbe.BaselineMBE, mbe.AdaMBELN, mbe.AdaMBEBIT:
-		return true
-	}
-	return false
 }
 
 // progressPrinter returns the sampler hook behind -progress: the classic

@@ -33,9 +33,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/datasets"
 	"repro/internal/dist"
-	"repro/internal/graph"
+	"repro/internal/engine"
 )
 
 func main() {
@@ -48,8 +47,8 @@ func main() {
 		input    = flag.String("i", "", "input KONECT edge-list file (workers must see the same path)")
 		binary   = flag.String("bin", "", "input binary graph cache")
 		dataset  = flag.String("d", "", "built-in synthetic dataset name (e.g. GH, BX, ceb)")
-		algo     = flag.String("a", "AdaMBE", "algorithm: AdaMBE|ParAdaMBE|Baseline|AdaMBE-LN|AdaMBE-BIT|BBK")
-		ord      = flag.String("o", "asc", "vertex ordering: asc|rand|uc|none")
+		algo     = flag.String("a", "AdaMBE", "algorithm: "+strings.Join(engine.Names(engine.Partition), "|"))
+		ord      = flag.String("o", "asc", "vertex ordering: "+strings.Join(engine.OrderingNames, "|"))
 		seed     = flag.Int64("seed", 0, "seed for -o rand")
 		tau      = flag.Int("tau", 0, fmt.Sprintf("bitmap threshold τ (0 = core.DefaultTau = %d)", core.DefaultTau))
 		ranges   = flag.Int("ranges", 16, "number of root ranges to shard the run into")
@@ -90,11 +89,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mbecoord: -dir is required")
 		os.Exit(2)
 	}
-	g, err := loadGraph(*input, *binary, *dataset)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mbecoord:", err)
-		os.Exit(1)
-	}
 	spec := dist.Spec{
 		Algorithm: *algo,
 		Ordering:  *ord,
@@ -103,7 +97,23 @@ func main() {
 		Dataset:   *dataset,
 		Path:      *input,
 		Bin:       *binary,
-	}.WithGraph(g)
+	}
+	locators := 0
+	for _, l := range []string{*input, *binary, *dataset} {
+		if l != "" {
+			locators++
+		}
+	}
+	if locators != 1 {
+		fmt.Fprintln(os.Stderr, "mbecoord: exactly one of -i, -bin, -d is required")
+		os.Exit(1)
+	}
+	g, err := spec.LoadGraph()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mbecoord:", err)
+		os.Exit(1)
+	}
+	spec = spec.WithGraph(g)
 
 	c, err := dist.NewCoordinator(dist.CoordOptions{
 		Spec: spec, Dir: *dir, Ranges: *ranges,
@@ -149,38 +159,4 @@ func main() {
 	shutCtx, shutCancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer shutCancel()
 	srv.Shutdown(shutCtx) //nolint:errcheck // exiting anyway; manifest is already durable
-}
-
-// loadGraph mirrors cmd/mbe's input selection.
-func loadGraph(input, binary, dataset string) (*graph.Bipartite, error) {
-	n := 0
-	for _, s := range []string{input, binary, dataset} {
-		if s != "" {
-			n++
-		}
-	}
-	if n != 1 {
-		return nil, fmt.Errorf("exactly one of -i, -bin, -d is required")
-	}
-	switch {
-	case input != "":
-		return graph.ReadKonectFile(input)
-	case binary != "":
-		f, err := os.Open(binary)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		g, err := graph.ReadBinary(f)
-		if err != nil {
-			return nil, err
-		}
-		return g, nil
-	default:
-		spec, found := datasets.ByName(dataset)
-		if !found {
-			return nil, fmt.Errorf("unknown dataset %q", dataset)
-		}
-		return spec.Build(), nil
-	}
 }

@@ -1,7 +1,7 @@
 package mbe
 
 import (
-	"repro/internal/difftest"
+	"repro/internal/digest"
 )
 
 // Fingerprint returns the canonical 64-bit fingerprint of one maximal
@@ -10,7 +10,7 @@ import (
 // for a biclique regardless of traversal order, ordering heuristic, or
 // thread schedule. Use it with Digest to compare runs without storing
 // their outputs.
-func Fingerprint(L, R []int32) uint64 { return difftest.Fingerprint(L, R) }
+func Fingerprint(L, R []int32) uint64 { return digest.Fingerprint(L, R) }
 
 // Digest is a commutative, mergeable accumulator over biclique
 // fingerprints: two enumerations of the same graph produce Equal digests
@@ -23,4 +23,4 @@ func Fingerprint(L, R []int32) uint64 { return difftest.Fingerprint(L, R) }
 // With Options.UnorderedEmit set, handler calls are concurrent: give each
 // worker its own Digest and combine them with Merge instead of sharing
 // one Observe across goroutines.
-type Digest = difftest.Digest
+type Digest = digest.Digest

@@ -10,9 +10,10 @@ import (
 )
 
 // Session ties a spool writer, a frontier, and the checkpoint file into
-// one resumable run. Both the public mbe layer and the difftest harness
-// drive enumeration through a Session so resume semantics live in
-// exactly one place:
+// one resumable run. Every spooled run (the public API, the daemon, the
+// benchmark harness, the differential harness) drives its Session
+// through engine.RunSpooled, so resume semantics live in exactly one
+// place:
 //
 //	sess, _ := ckpt.Open(ckpt.OpenOptions{Dir: dir, Meta: meta, Resume: resume})
 //	if sess.AlreadyComplete() { ... nothing to do ... }
@@ -156,9 +157,6 @@ func (s *Session) StartRoot() int32 { return s.start }
 // core.Options.Frontier).
 func (s *Session) Frontier() *Frontier { return s.frontier }
 
-// Writer returns the spool writer (nil when AlreadyComplete).
-func (s *Session) Writer() *spool.Writer { return s.writer }
-
 // Stats snapshots the writer's flushed-output counters.
 func (s *Session) Stats() spool.Stats {
 	if s.writer == nil {
@@ -169,28 +167,38 @@ func (s *Session) Stats() spool.Stats {
 
 // Sink adapts the writer into a core emission sink, mapping the R side
 // back through perm (the V permutation the engine ran under; nil for
-// identity). Root tags stay in ENGINE order — that is the order the
-// watermark and StartRoot live in — while stored vertex ids are
-// original-graph ids. Per-worker scratch keeps the hot path
-// allocation-free under unordered concurrent emission.
-func (s *Session) Sink(perm []int32, workers int) *Sink {
+// identity): see MapBack.
+func (s *Session) Sink(perm []int32, workers int) *Sink { return MapBack(s.writer, perm, workers) }
+
+// Emitter receives root-tagged bicliques: core.Sink's method, which
+// spool.Writer also has.
+type Emitter interface {
+	Emit(worker int, root int32, L, R []int32)
+}
+
+// MapBack wraps inner so every R side is mapped back through perm
+// before it is forwarded. Root tags stay in ENGINE order — that is the
+// order the watermark and StartRoot live in — while forwarded vertex
+// ids are original-graph ids. Per-worker scratch keeps the hot path
+// allocation-free under unordered concurrent emission. The result
+// satisfies core's Sink interface structurally.
+func MapBack(inner Emitter, perm []int32, workers int) *Sink {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Sink{w: s.writer, perm: perm, scratch: make([][]int32, workers)}
+	return &Sink{inner: inner, perm: perm, scratch: make([][]int32, workers)}
 }
 
-// Sink is the emission adapter returned by Session.Sink. It satisfies
-// core's Sink interface structurally.
+// Sink is the emission adapter returned by MapBack and Session.Sink.
 type Sink struct {
-	w       *spool.Writer
+	inner   Emitter
 	perm    []int32
 	scratch [][]int32
 }
 
-// Emit writes one biclique. Safe for concurrent use by distinct
-// workers; a single worker's calls must be sequential (they are — each
-// engine owns its worker id).
+// Emit forwards one biclique. Safe for concurrent use by distinct
+// workers when inner is; a single worker's calls must be sequential
+// (they are — each engine owns its worker id).
 func (k *Sink) Emit(worker int, root int32, L, R []int32) {
 	if k.perm != nil {
 		m := k.scratch[worker%len(k.scratch)][:0]
@@ -200,7 +208,7 @@ func (k *Sink) Emit(worker int, root int32, L, R []int32) {
 		k.scratch[worker%len(k.scratch)] = m
 		R = m
 	}
-	k.w.Emit(worker, root, L, R)
+	k.inner.Emit(worker, root, L, R)
 }
 
 // Start launches the periodic checkpoint ticker. No-op if the cadence

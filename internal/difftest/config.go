@@ -5,117 +5,39 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/baselines"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/order"
 )
 
-// Engine identifies one enumeration implementation: the four serial
-// AdaMBE-family variants, ParAdaMBE, the five competitor baselines, and
-// the post-paper BBK engine.
-type Engine int
+// Engine identifies one enumeration implementation: a row of the engine
+// registry (internal/engine), which also says whether it runs in
+// parallel.
+type Engine = engine.ID
 
+// The engines under test: the four serial AdaMBE-family variants,
+// ParAdaMBE, the five competitor baselines and the post-paper BBK engine.
 const (
-	EngBaseline Engine = iota // core Baseline (Algorithm 1)
-	EngLN                     // core AdaMBE-LN
-	EngBIT                    // core AdaMBE-BIT
-	EngAda                    // core AdaMBE (Algorithm 2)
-	EngParAda                 // ParAdaMBE (AdaMBE under the work-stealing pool)
-	EngFMBE
-	EngPMBE
-	EngOOMBEA
-	EngParMBE
-	EngGMBE
-	EngBBK // pivot-based bipartite Bron–Kerbosch (baselines.BBK)
-	numEngines
+	EngBaseline = engine.Baseline  // core Baseline (Algorithm 1)
+	EngLN       = engine.AdaMBELN  // core AdaMBE-LN
+	EngBIT      = engine.AdaMBEBIT // core AdaMBE-BIT
+	EngAda      = engine.AdaMBE    // core AdaMBE (Algorithm 2)
+	EngParAda   = engine.ParAdaMBE // ParAdaMBE (AdaMBE under the work-stealing pool)
+	EngFMBE     = engine.FMBE
+	EngPMBE     = engine.PMBE
+	EngOOMBEA   = engine.OOMBEA
+	EngParMBE   = engine.ParMBE
+	EngGMBE     = engine.GMBESim
+	EngBBK      = engine.BBK // pivot-based bipartite Bron–Kerbosch
 )
 
-// Engines lists every engine the differential harness covers.
+// Engines lists every engine the differential harness covers, in the
+// registry's menu order.
 func Engines() []Engine {
-	out := make([]Engine, numEngines)
-	for i := range out {
-		out[i] = Engine(i)
+	var out []Engine
+	for _, e := range engine.All() {
+		out = append(out, e.ID)
 	}
 	return out
-}
-
-// String names the engine as in the paper.
-func (e Engine) String() string {
-	switch e {
-	case EngBaseline:
-		return "Baseline"
-	case EngLN:
-		return "AdaMBE-LN"
-	case EngBIT:
-		return "AdaMBE-BIT"
-	case EngAda:
-		return "AdaMBE"
-	case EngParAda:
-		return "ParAdaMBE"
-	case EngFMBE:
-		return "FMBE"
-	case EngPMBE:
-		return "PMBE"
-	case EngOOMBEA:
-		return "ooMBEA"
-	case EngParMBE:
-		return "ParMBE"
-	case EngGMBE:
-		return "GMBE-sim"
-	case EngBBK:
-		return "BBK"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
-
-// ParseEngine inverts String.
-func ParseEngine(s string) (Engine, error) {
-	for e := Engine(0); e < numEngines; e++ {
-		if e.String() == s {
-			return e, nil
-		}
-	}
-	return 0, fmt.Errorf("difftest: unknown engine %q", s)
-}
-
-// Parallel reports whether the engine honours Config.Threads > 1.
-func (e Engine) Parallel() bool {
-	return e == EngParAda || e == EngParMBE || e == EngGMBE
-}
-
-// coreVariant maps AdaMBE-family engines onto core.Variant.
-func (e Engine) coreVariant() (core.Variant, bool) {
-	switch e {
-	case EngBaseline:
-		return core.Baseline, true
-	case EngLN:
-		return core.LN, true
-	case EngBIT:
-		return core.BIT, true
-	case EngAda, EngParAda:
-		return core.Ada, true
-	}
-	return 0, false
-}
-
-// baselineAlg maps competitor engines onto baselines.Algorithm.
-func (e Engine) baselineAlg() (baselines.Algorithm, bool) {
-	switch e {
-	case EngFMBE:
-		return baselines.FMBE, true
-	case EngPMBE:
-		return baselines.PMBE, true
-	case EngOOMBEA:
-		return baselines.OOMBEA, true
-	case EngParMBE:
-		return baselines.ParMBE, true
-	case EngGMBE:
-		return baselines.GMBE, true
-	case EngBBK:
-		return baselines.BBK, true
-	}
-	return "", false
 }
 
 // FaultSpec is a seeded emission mutation the runner injects through
@@ -181,9 +103,11 @@ func ParseConfig(s string) (Config, error) {
 		var err error
 		switch key {
 		case "engine":
-			c.Engine, err = ParseEngine(val)
+			var e engine.Engine
+			e, err = engine.Parse(val)
+			c.Engine = e.ID
 		case "order":
-			c.Order, err = order.ParseKind(val)
+			c.Order, err = engine.ParseOrdering(val)
 		case "seed":
 			c.Seed, err = strconv.ParseInt(val, 10, 64)
 		case "threads":

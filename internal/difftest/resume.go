@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/ckpt"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/order"
 	"repro/internal/spool"
 )
 
@@ -32,8 +31,8 @@ type SpoolRunResult struct {
 // the run (context cancellation, exactly how Ctrl-C lands) after each
 // emission count in interrupts, resuming after each, then letting the
 // final attempt run to completion. The digest of the final spool
-// contents is returned. Only core engines are supported (the spool
-// path is wired through core.Options).
+// contents is returned. Every root-partition engine is supported; the
+// others are refused.
 func RunSpooled(g *graph.Bipartite, c Config, dir string, interrupts []int64) (SpoolRunResult, error) {
 	var out SpoolRunResult
 	for _, after := range interrupts {
@@ -56,8 +55,8 @@ func RunSpooled(g *graph.Bipartite, c Config, dir string, interrupts []int64) (S
 			return out, err
 		}
 		if complete {
-			d, n, err := SpoolReplayDigest(dir)
-			out.Digest, out.Records = d, n
+			d, err := spool.ReplayDigest(dir)
+			out.Digest, out.Records = d, d.Count
 			return out, err
 		}
 	}
@@ -80,89 +79,34 @@ func (s *cancelSink) Emit(worker int, root int32, L, R []int32) {
 	}
 }
 
-// runSpooledOnce is one attempt: open (or resume) the session, wire the
-// sink/frontier/start-root into core, enumerate — cancelling after
-// cancelAfter emissions when > 0 — and close the session with the
-// outcome. Returns whether enumeration ran to completion.
+// runSpooledOnce is one attempt through the shared spooled-run path
+// (engine.RunSpooled): open (or resume) the session, enumerate —
+// cancelling after cancelAfter emissions when > 0 — and close the
+// session with the outcome. Returns whether enumeration ran to
+// completion.
 func runSpooledOnce(g *graph.Bipartite, c Config, dir string, resume bool, cancelAfter int64) (bool, error) {
-	variant, ok := c.Engine.coreVariant()
-	if !ok {
-		return false, fmt.Errorf("difftest: %s: only core engines support spooling", c)
-	}
-	threads := 0
-	if c.Engine == EngParAda && c.Threads > 1 {
-		threads = c.Threads
-	}
-	workers := threads
-	if workers < 1 {
-		workers = 1
-	}
-
-	perm := order.Permutation(g, c.Order, c.Seed)
-	pg, err := g.PermuteV(perm)
-	if err != nil {
-		return false, fmt.Errorf("difftest: %s: apply ordering: %w", c, err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sess, err := ckpt.Open(ckpt.OpenOptions{
-		Dir: dir,
-		Meta: spool.Meta{
-			Version: 1, Tool: "difftest", Algorithm: c.Engine.String(),
-			Ordering: c.Order.String(), OrderSeed: c.Seed, Tau: c.Tau, Shards: workers,
-			NU: g.NU(), NV: g.NV(), Edges: g.NumEdges(), GraphHash: spool.GraphSignature(g),
-		},
-		Resume: resume,
-		Every:  -1, // checkpoints only at Finish: deterministic resume points
-		Writer: spool.WriterOptions{OnError: func(error) { cancel() }},
-	})
-	if err != nil {
-		return false, err
-	}
-	if sess.AlreadyComplete() {
-		return true, nil
-	}
-
-	var sink core.Sink = sess.Sink(perm, workers)
-	if cancelAfter > 0 {
-		cs := &cancelSink{inner: sink, cancel: cancel}
-		cs.remaining.Store(cancelAfter)
-		sink = cs
-	}
-	res, err := core.Enumerate(pg, core.Options{
-		Variant:   variant,
-		Tau:       c.Tau,
-		Threads:   threads,
-		Context:   ctx,
-		Sink:      sink,
-		Frontier:  sess.Frontier(),
-		StartRoot: sess.StartRoot(),
-	})
-	complete := err == nil && res.StopReason == core.StopNone
-	if ferr := sess.Finish(complete); ferr != nil && err == nil {
-		err = ferr
-	}
+	plan, err := engine.Resolve(g, c.Order, c.Seed)
 	if err != nil {
 		return false, fmt.Errorf("difftest: %s: %w", c, err)
 	}
-	return complete, nil
-}
-
-// SpoolReplayDigest digests the spool's contents — the replay-side twin
-// of Run's in-memory digest, comparable against it directly (the spool
-// stores sides sorted in the original id space, and the fingerprint is
-// order-invariant within sides). Fails on a dirty shard tail: a digest
-// of silently truncated output is not comparable.
-func SpoolReplayDigest(dir string) (Digest, int64, error) {
-	var d Digest
-	var n int64
-	states, err := spool.Replay(dir, func(_ int32, L, R []int32) {
-		d.Observe(L, R)
-		n++
-	})
-	if err != nil {
-		return d, n, err
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sp := engine.Spool{
+		Dir:    dir,
+		Tool:   "difftest",
+		Resume: resume,
+		Every:  -1, // checkpoints only at Finish: deterministic resume points
 	}
-	return d, n, spool.Clean(states)
+	if cancelAfter > 0 {
+		sp.Wrap = func(inner core.Sink) core.Sink {
+			cs := &cancelSink{inner: inner, cancel: cancel}
+			cs.remaining.Store(cancelAfter)
+			return cs
+		}
+	}
+	res, _, err := engine.RunSpooled(plan, c.Engine, core.Options{Tau: c.Tau, Threads: c.Threads, Context: ctx}, sp)
+	if err != nil {
+		return false, fmt.Errorf("difftest: %s: %w", c, err)
+	}
+	return res.StopReason == core.StopNone, nil
 }

@@ -91,16 +91,26 @@ func TestResumeActuallyResumes(t *testing.T) {
 // through the run's permutation exactly like the in-memory handler).
 func TestSpooledUninterruptedMatchesRun(t *testing.T) {
 	g := gen.PowerLaw(42, 60, 30, 250, 1.6, 1.9)
+	oracle, err := Run(g, Config{Engine: EngAda, Order: order.DegreeAscending, Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []Config{
 		{Engine: EngAda, Order: order.DegreeAscending, Threads: 1},
 		{Engine: EngAda, Order: order.Random, Seed: 5, Threads: 1},
 		{Engine: EngParAda, Order: order.UnilateralCore, Threads: 4},
 		{Engine: EngBIT, Order: order.DegreeAscending, Threads: 1},
 		{Engine: EngLN, Order: order.DegreeAscending, Threads: 1},
+		{Engine: EngBaseline, Order: order.DegreeAscending, Threads: 1},
+		{Engine: EngBBK, Order: order.DegreeAscending, Threads: 1},
+		{Engine: EngBBK, Order: order.Random, Seed: 5, Threads: 1},
 	} {
 		want, err := Run(g, c)
 		if err != nil {
 			t.Fatalf("[%s] %v", c, err)
+		}
+		if !want.Equal(oracle) {
+			t.Errorf("[%s] in-memory digest %s != oracle %s", c, want, oracle)
 		}
 		res, err := RunSpooled(g, c, t.TempDir(), nil)
 		if err != nil {
@@ -112,6 +122,11 @@ func TestSpooledUninterruptedMatchesRun(t *testing.T) {
 		if res.Attempts != 1 {
 			t.Errorf("[%s] uninterrupted run took %d attempts", c, res.Attempts)
 		}
+	}
+	// The paper competitors do not honour the root-partition contract:
+	// the spooled path refuses them.
+	if _, err := RunSpooled(g, Config{Engine: EngFMBE, Order: order.DegreeAscending}, t.TempDir(), nil); err == nil {
+		t.Error("spooled FMBE run accepted")
 	}
 }
 
@@ -151,11 +166,12 @@ func TestResumeRepeatedInterrupts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, threads := range []int{1, 8} {
-		c := Config{Engine: EngAda, Order: order.DegreeAscending, Threads: 1}
-		if threads > 1 {
-			c = Config{Engine: EngParAda, Order: order.DegreeAscending, Threads: threads}
-		}
+	for _, c := range []Config{
+		{Engine: EngAda, Order: order.DegreeAscending, Threads: 1},
+		{Engine: EngParAda, Order: order.DegreeAscending, Threads: 8},
+		{Engine: EngBBK, Order: order.DegreeAscending, Threads: 1},
+		{Engine: EngBaseline, Order: order.DegreeAscending, Threads: 1},
+	} {
 		res, err := RunSpooled(g, c, t.TempDir(), []int64{1, 3, 10, 50, 100})
 		if err != nil {
 			t.Fatalf("[%s] %v", c, err)

@@ -1,14 +1,28 @@
+// Package difftest is the correctness-tooling layer for the enumeration
+// engines: run digests (internal/digest) as the comparison, a
+// differential runner that executes every
+// engine × ordering × thread-count combination and asserts digest
+// equality, metamorphic graph transformations with known effects on the
+// biclique set, and a delta-debugging minimizer that shrinks any
+// disagreement to a standalone replayable repro file.
+//
+// The design premise comes from the paper's own validation gap: Table 4
+// compares only total counts, and counts can collide — after the
+// work-stealing scheduler a bug that drops one biclique and double-emits
+// another is invisible to every count-based check. Digests compare the
+// *set* of bicliques (up to astronomically unlikely hash collisions) in
+// O(1) memory, so multi-million-biclique runs cross-check for free.
 package difftest
 
 import (
 	"errors"
 	"fmt"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/digest"
+	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/graph"
-	"repro/internal/order"
 )
 
 // EmitSite is the faultinject site the runner consults once per emitted
@@ -20,6 +34,13 @@ const EmitSite = "difftest/emit"
 // inputs; an error means the transformation's invariant was violated,
 // which is itself a detected bug.
 type MapBack func(L, R []int32) ([]int32, []int32, error)
+
+// Digest and Fingerprint are the canonical run digest and biclique
+// fingerprint of internal/digest.
+type Digest = digest.Digest
+
+// Fingerprint returns the canonical fingerprint of one biclique.
+func Fingerprint(L, R []int32) uint64 { return digest.Fingerprint(L, R) }
 
 // Run enumerates g under c and returns the canonical digest of the
 // emitted biclique set, with all ids mapped back to g's id space
@@ -34,39 +55,32 @@ func Run(g *graph.Bipartite, c Config) (Digest, error) {
 // biclique before fingerprinting — the hook the metamorphic checks use to
 // compare a transformed graph's enumeration against the original's.
 func RunMapped(g *graph.Bipartite, c Config, mb MapBack) (Digest, error) {
-	perm := order.Permutation(g, c.Order, c.Seed)
-	pg, err := g.PermuteV(perm)
+	plan, err := engine.Resolve(g, c.Order, c.Seed)
 	if err != nil {
-		return Digest{}, fmt.Errorf("difftest: %s: apply ordering: %w", c, err)
+		return Digest{}, fmt.Errorf("difftest: %s: %w", c, err)
 	}
 
 	var d Digest
 	var mbErr error
-	buf := make([]int32, 0, 64)
 	handler := func(L, R []int32) {
 		// Emission is serialized by the engines (the default contract), so
-		// the shared buffer and digest are safe here.
-		buf = buf[:0]
-		for _, v := range R {
-			buf = append(buf, perm[v])
-		}
-		l, r := L, buf
+		// the digest is safe here.
 		if mb != nil {
 			var merr error
-			if l, r, merr = mb(l, r); merr != nil {
+			if L, R, merr = mb(L, R); merr != nil {
 				if mbErr == nil {
 					mbErr = merr
 				}
 				return
 			}
 		}
-		d.Observe(l, r)
+		d.Observe(L, R)
 	}
 	if c.Fault != nil {
 		handler = injectEmitFault(handler, *c.Fault)
 	}
 
-	res, err := dispatch(pg, c, handler)
+	res, err := engine.Run(plan, c.Engine, core.Options{Tau: c.Tau, Threads: c.Threads, OnBiclique: handler})
 	if err != nil {
 		return Digest{}, fmt.Errorf("difftest: %s: %w", c, err)
 	}
@@ -77,34 +91,6 @@ func RunMapped(g *graph.Bipartite, c Config, mb MapBack) (Digest, error) {
 		return Digest{}, fmt.Errorf("difftest: %s: map back: %w", c, mbErr)
 	}
 	return d, nil
-}
-
-// dispatch routes the config to the owning engine package.
-func dispatch(pg *graph.Bipartite, c Config, handler core.Handler) (core.Result, error) {
-	if variant, ok := c.Engine.coreVariant(); ok {
-		threads := 0
-		if c.Engine == EngParAda && c.Threads > 1 {
-			threads = c.Threads
-		}
-		return core.Enumerate(pg, core.Options{
-			Variant:    variant,
-			Tau:        c.Tau,
-			Threads:    threads,
-			OnBiclique: handler,
-		})
-	}
-	alg, ok := c.Engine.baselineAlg()
-	if !ok {
-		return core.Result{}, fmt.Errorf("unknown engine %d", int(c.Engine))
-	}
-	threads := 1
-	if c.Engine.Parallel() {
-		threads = c.Threads
-	}
-	return baselines.Run(pg, alg, baselines.Options{
-		Threads:    threads,
-		OnBiclique: handler,
-	})
 }
 
 // injectEmitFault wraps a handler with a fresh, deterministic injector so

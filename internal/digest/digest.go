@@ -1,18 +1,11 @@
-// Package difftest is the correctness-tooling layer for the enumeration
-// engines: canonical per-biclique fingerprints folded into an
-// order-independent run digest, a differential runner that executes every
-// engine × ordering × thread-count combination and asserts digest
-// equality, metamorphic graph transformations with known effects on the
-// biclique set, and a delta-debugging minimizer that shrinks any
-// disagreement to a standalone replayable repro file.
-//
-// The design premise comes from the paper's own validation gap: Table 4
-// compares only total counts, and counts can collide — after the
-// work-stealing scheduler a bug that drops one biclique and double-emits
-// another is invisible to every count-based check. Digests compare the
-// *set* of bicliques (up to astronomically unlikely hash collisions) in
-// O(1) memory, so multi-million-biclique runs cross-check for free.
-package difftest
+// Package digest fingerprints maximal bicliques and folds the
+// fingerprints into an order-independent run digest. Two enumerations of
+// the same graph have Equal digests iff (modulo hash collisions) they
+// emitted the same biclique multiset, in O(1) memory and whatever the
+// emission order, thread schedule or root sharding. The public API, the
+// durable spool, the distributed coordinator and the differential
+// harness all compare runs with it.
+package digest
 
 import (
 	"fmt"

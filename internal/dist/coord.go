@@ -12,7 +12,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/difftest"
+	"repro/internal/digest"
 	"repro/internal/obs"
 )
 
@@ -62,7 +62,7 @@ type Coordinator struct {
 	mu       sync.Mutex
 	ranges   []*rangeState
 	complete bool
-	global   difftest.Digest
+	global   digest.Digest
 
 	doneCh   chan struct{}
 	stopJan  chan struct{}
@@ -89,8 +89,8 @@ type rangeState struct {
 	watermark int32
 	worker    string
 	lastBeat  time.Time
-	digest    difftest.Digest
-	attemptD  difftest.Digest
+	digest    digest.Digest
+	attemptD  digest.Digest
 }
 
 // NewCoordinator builds a coordinator, recovering from Dir's manifest if
@@ -100,6 +100,7 @@ func NewCoordinator(opts CoordOptions) (*Coordinator, error) {
 	if err := opts.Spec.Validate(); err != nil {
 		return nil, err
 	}
+	opts.Spec, _ = opts.Spec.Canonical()
 	if opts.Dir == "" {
 		return nil, errors.New("dist: CoordOptions.Dir is required")
 	}
@@ -214,7 +215,7 @@ func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
 // GlobalDigest returns the merged digest of every range, and whether the
 // run is complete (the digest is only final — and only meaningful —
 // once it is).
-func (c *Coordinator) GlobalDigest() (difftest.Digest, bool) {
+func (c *Coordinator) GlobalDigest() (digest.Digest, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.global, c.complete
@@ -371,7 +372,7 @@ func (c *Coordinator) finishLocked() {
 	if c.complete {
 		return
 	}
-	c.global = difftest.Digest{}
+	c.global = digest.Digest{}
 	for _, r := range c.ranges {
 		c.global.Merge(r.digest)
 	}
@@ -393,7 +394,7 @@ func (c *Coordinator) grantLease(worker string) (Lease, bool) {
 		r.attempt++
 		r.worker = worker
 		r.lastBeat = c.now()
-		r.attemptD = difftest.Digest{}
+		r.attemptD = digest.Digest{}
 		if r.attempt > 1 {
 			c.leasesReissued.Inc()
 		}

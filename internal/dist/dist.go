@@ -8,7 +8,7 @@
 // partition the output — every maximal biclique is emitted exactly once,
 // under the minimal vertex of its R side — so disjoint root ranges
 // enumerate disjoint biclique sets, and the per-range multiset digests
-// (internal/difftest) merge commutatively into the global run digest.
+// (internal/digest) merge commutatively into the global run digest.
 // This is the shape of Mukherjee & Tirthapura's MapReduce MBE
 // (arXiv:1404.4910), carried on our own lease/watermark protocol instead
 // of Hadoop.
@@ -36,10 +36,12 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
+	"repro/internal/datasets"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/order"
 	"repro/internal/spool"
@@ -51,14 +53,15 @@ import (
 // τ, and the graph's identity. Workers verify their loaded graph against
 // the signature before accepting leases.
 type Spec struct {
-	// Algorithm is the engine name in the public registry's spelling:
-	// AdaMBE, ParAdaMBE, Baseline, AdaMBE-LN, AdaMBE-BIT, or BBK. The
-	// paper competitors do not share the root partition contract and are
-	// rejected.
+	// Algorithm is the engine name in the registry's spelling (any
+	// case): AdaMBE, ParAdaMBE, Baseline, AdaMBE-LN, AdaMBE-BIT, or BBK.
+	// The paper competitors do not share the root partition contract and
+	// are rejected.
 	Algorithm string `json:"algorithm"`
-	// Ordering is the V-side ordering tag (asc|rand|uc|none) with its
-	// seed — the same pair a spool meta records, for the same reason: the
-	// root ids every watermark refers to live in the ordered id space.
+	// Ordering is the V-side ordering tag (asc|rand|uc|none, any case;
+	// required) with its seed — the same pair a spool meta records, for
+	// the same reason: the root ids every watermark refers to live in the
+	// ordered id space.
 	Ordering  string `json:"ordering"`
 	OrderSeed int64  `json:"order_seed"`
 	Tau       int    `json:"tau"`
@@ -87,6 +90,23 @@ func (s Spec) WithGraph(g *graph.Bipartite) Spec {
 	return s
 }
 
+// LoadGraph resolves the spec's graph locator.
+func (s Spec) LoadGraph() (*graph.Bipartite, error) {
+	switch {
+	case s.Dataset != "":
+		d, found := datasets.ByName(s.Dataset)
+		if !found {
+			return nil, fmt.Errorf("dist: unknown dataset %q", s.Dataset)
+		}
+		return d.Build(), nil
+	case s.Path != "":
+		return graph.ReadKonectFile(s.Path)
+	case s.Bin != "":
+		return graph.ReadBinaryFile(s.Bin)
+	}
+	return nil, errors.New("dist: spec has no graph locator and the worker was given no graph")
+}
+
 // CheckGraph verifies that g is the graph the spec describes.
 func (s Spec) CheckGraph(g *graph.Bipartite) error {
 	if g.NU() != s.NU || g.NV() != s.NV || g.NumEdges() != s.Edges || spool.GraphSignature(g) != s.GraphHash {
@@ -96,57 +116,47 @@ func (s Spec) CheckGraph(g *graph.Bipartite) error {
 	return nil
 }
 
-// engineKind distinguishes the two engine families a worker can drive
-// through the durable emission path.
-type engineKind int
-
-const (
-	engineCore engineKind = iota
-	engineBBK
-)
-
-// resolveEngine maps a Spec.Algorithm spelling to its engine family and
-// (for the core family) variant. parallel reports whether the engine may
-// run with Threads > 1.
-func resolveEngine(name string) (kind engineKind, variant core.Variant, parallel bool, err error) {
-	switch {
-	case strings.EqualFold(name, "AdaMBE"):
-		return engineCore, core.Ada, false, nil
-	case strings.EqualFold(name, "ParAdaMBE"):
-		return engineCore, core.Ada, true, nil
-	case strings.EqualFold(name, "Baseline"):
-		return engineCore, core.Baseline, false, nil
-	case strings.EqualFold(name, "AdaMBE-LN"):
-		return engineCore, core.LN, false, nil
-	case strings.EqualFold(name, "AdaMBE-BIT"):
-		return engineCore, core.BIT, false, nil
-	case strings.EqualFold(name, "BBK"):
-		return engineBBK, 0, false, nil
+// resolve maps the spec's Algorithm and Ordering through the engine
+// registry and the ordering table (both case-insensitive). The engine
+// must honour the root-partition contract, and the ordering must be
+// named: an empty one is refused rather than read as a default.
+func (s Spec) resolve() (engine.Engine, order.Kind, error) {
+	e, err := engine.Parse(s.Algorithm)
+	if err == nil && !e.Partition {
+		err = fmt.Errorf("algorithm %q does not support the root partition contract", s.Algorithm)
 	}
-	return 0, 0, false, fmt.Errorf("dist: algorithm %q does not support the root partition contract (want AdaMBE|ParAdaMBE|Baseline|AdaMBE-LN|AdaMBE-BIT|BBK)", name)
+	if err != nil {
+		return e, 0, fmt.Errorf("dist: %w (want %s)", err, strings.Join(engine.Names(engine.Partition), "|"))
+	}
+	if s.Ordering == "" {
+		return e, 0, fmt.Errorf("dist: spec has no ordering (want %s)", strings.Join(engine.OrderingNames, "|"))
+	}
+	k, err := engine.ParseOrdering(s.Ordering)
+	if err != nil {
+		return e, 0, fmt.Errorf("dist: %w", err)
+	}
+	return e, k, nil
 }
 
-// resolveOrdering maps a Spec.Ordering tag to the order package's Kind.
-// ok is false for "none" (identity: no permutation is applied).
-func resolveOrdering(tag string) (order.Kind, bool, error) {
-	if tag == "" || tag == "none" {
-		return 0, false, nil
-	}
-	k, err := order.ParseKind(tag)
+// Canonical returns the spec with Algorithm and Ordering in their
+// canonical spellings. The coordinator canonicalizes a spec before it
+// persists or compares it, so "adambe"/"ASC" and "AdaMBE"/"asc" name
+// the same run.
+func (s Spec) Canonical() (Spec, error) {
+	e, k, err := s.resolve()
 	if err != nil {
-		return 0, false, fmt.Errorf("dist: %w", err)
+		return Spec{}, err
 	}
-	return k, true, nil
+	s.Algorithm = e.Name
+	s.Ordering, _ = engine.OrderingName(k)
+	return s, nil
 }
 
 // Validate checks the spec's engine and ordering spellings and its graph
 // identity fields, so misconfiguration fails at coordinator start, not
 // at the first lease.
 func (s Spec) Validate() error {
-	if _, _, _, err := resolveEngine(s.Algorithm); err != nil {
-		return err
-	}
-	if _, _, err := resolveOrdering(s.Ordering); err != nil {
+	if _, err := s.Canonical(); err != nil {
 		return err
 	}
 	if s.NV <= 0 || s.NU <= 0 || s.GraphHash == "" {

@@ -118,6 +118,16 @@ func TestSpecValidateRejectsMisconfiguration(t *testing.T) {
 	if err := (Spec{Algorithm: "AdaMBE", Ordering: "asc"}).Validate(); err == nil {
 		t.Error("spec without graph identity accepted")
 	}
+	// An empty ordering is refused, not read as a default.
+	if err := (Spec{Algorithm: "AdaMBE"}.WithGraph(g)).Validate(); err == nil {
+		t.Error("spec without an ordering accepted")
+	}
+	// Spellings are case-insensitive and canonicalize to the registry's
+	// and the ordering table's.
+	loose := Spec{Algorithm: "adambe", Ordering: "ASC"}.WithGraph(g)
+	if c, err := loose.Canonical(); err != nil || c.Algorithm != "AdaMBE" || c.Ordering != "asc" {
+		t.Errorf("Canonical(%s/%s) = %s/%s, %v; want AdaMBE/asc", loose.Algorithm, loose.Ordering, c.Algorithm, c.Ordering, err)
+	}
 
 	other := testGraph(t, 2, 8, 8, 24)
 	if err := good.CheckGraph(other); err == nil {
@@ -287,11 +297,36 @@ func TestManifestRecovery(t *testing.T) {
 		t.Fatalf("post-recovery grant: %+v ok=%v", lease2, ok)
 	}
 
-	// A mismatched spec must refuse the directory outright.
+	// The same run spelled differently recovers the manifest: specs are
+	// canonicalized before they are persisted and compared.
+	c3, err := NewCoordinator(CoordOptions{Spec: testSpec(t, g, "adambe", "ASC"), Dir: dir, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatalf("recovery under another spelling of the same spec: %v", err)
+	}
+	if c3.spec.Algorithm != "AdaMBE" || c3.spec.Ordering != "asc" {
+		t.Errorf("recovered spec %s/%s, want the canonical AdaMBE/asc", c3.spec.Algorithm, c3.spec.Ordering)
+	}
+	m, _, err := loadManifest(dir)
+	if err != nil || m.Spec.Algorithm != "AdaMBE" || m.Spec.Ordering != "asc" {
+		t.Errorf("persisted spec %s/%s (err %v), want the canonical AdaMBE/asc", m.Spec.Algorithm, m.Spec.Ordering, err)
+	}
+	// A manifest written before specs were canonicalized may hold any
+	// accepted spelling; it recovers under the canonical one.
+	m.Spec.Algorithm, m.Spec.Ordering = "adambe", "ASC"
+	if err := writeManifest(dir, m, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCoordinator(CoordOptions{Spec: spec, Dir: dir, LeaseTTL: time.Minute}); err != nil {
+		t.Fatalf("recovery of a manifest with a non-canonical spelling: %v", err)
+	}
+
+	// A mismatched spec must refuse the directory outright, and so must
+	// a spec without an ordering.
 	for _, bad := range []Spec{
 		testSpec(t, g, "BBK", "asc"),
 		testSpec(t, g, "AdaMBE", "rand"),
 		testSpec(t, testGraph(t, 6, 10, 12, 40), "AdaMBE", "asc"),
+		Spec{Algorithm: "AdaMBE"}.WithGraph(g),
 	} {
 		if _, err := NewCoordinator(CoordOptions{Spec: bad, Dir: dir}); err == nil {
 			t.Errorf("incompatible spec %+v accepted over an existing manifest", bad)

@@ -97,6 +97,11 @@ func loadManifest(dir string) (manifest, bool, error) {
 // decomposition must match; lease TTL and range count are allowed to
 // change only insofar as the persisted ranges are authoritative.
 func specCompatible(have, want Spec) error {
+	// Manifests written before specs were canonicalized may hold any
+	// accepted spelling.
+	if c, err := have.Canonical(); err == nil {
+		have = c
+	}
 	switch {
 	case have.GraphHash != want.GraphHash || have.NU != want.NU || have.NV != want.NV || have.Edges != want.Edges:
 		return fmt.Errorf("dist: manifest graph mismatch: manifest %dx%d/%d (%s), run %dx%d/%d (%s)",

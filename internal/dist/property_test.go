@@ -4,34 +4,29 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/difftest"
+	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/order"
 )
 
-// shardDigest enumerates one root range [start, end) with the given
-// engine and digests its output. Ordering is identity throughout this
-// file so every digest lives in the same id space as the brute-force
-// oracle's.
-func shardDigest(t *testing.T, g *graph.Bipartite, engine string, start, end int32) difftest.Digest {
+// shardDigest enumerates one root range [start, end) with the named
+// engine through the registry's Run and digests its output. Ordering is
+// identity throughout this file so every digest lives in the same id
+// space as the brute-force oracle's.
+func shardDigest(t *testing.T, g *graph.Bipartite, name string, start, end int32) difftest.Digest {
 	t.Helper()
-	var d difftest.Digest
-	var err error
-	if engine == "BBK" {
-		_, err = baselines.Run(g, baselines.BBK, baselines.Options{
-			OnBiclique: d.Observe, StartRoot: start, EndRoot: end,
-		})
-	} else {
-		kind, variant, _, rerr := resolveEngine(engine)
-		if rerr != nil || kind != engineCore {
-			t.Fatalf("engine %q: %v", engine, rerr)
-		}
-		_, err = core.Enumerate(g, core.Options{
-			Variant: variant, OnBiclique: d.Observe, StartRoot: start, EndRoot: end,
-		})
-	}
+	e, err := engine.Parse(name)
 	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := engine.Resolve(g, order.None, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d difftest.Digest
+	if _, err := engine.Run(plan, e.ID, core.Options{OnBiclique: d.Observe, StartRoot: start, EndRoot: end}); err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -90,7 +85,7 @@ func mergeTree(rng *rand.Rand, ds []difftest.Digest) difftest.Digest {
 // order and grouping the shard digests are merged, the result equals
 // the brute-force oracle's digest of the full graph.
 func TestDigestMergeIsCommutativeAndAssociative(t *testing.T) {
-	engines := []string{"AdaMBE", "Baseline", "AdaMBE-LN", "AdaMBE-BIT", "BBK"}
+	engines := engine.Names(engine.Partition)
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 25; trial++ {
 		nu := 2 + rng.Intn(8)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/difftest"
+	"repro/internal/digest"
 )
 
 // Wire protocol version, carried in the config and the manifest. Bump on
@@ -65,7 +65,7 @@ type streamResult struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// DigestJSON is the wire/manifest form of difftest.Digest. The three
+// DigestJSON is the wire/manifest form of digest.Digest. The three
 // uint64 folds are hex strings: JSON numbers round-trip through float64
 // in most decoders and silently lose bits above 2^53, which for a digest
 // means false "equal" or false "different" — unacceptable either way.
@@ -77,7 +77,7 @@ type DigestJSON struct {
 }
 
 // ToJSON converts a digest to its wire form.
-func ToJSON(d difftest.Digest) DigestJSON {
+func ToJSON(d digest.Digest) DigestJSON {
 	return DigestJSON{
 		Count: d.Count,
 		Sum:   fmt.Sprintf("%016x", d.Sum),
@@ -87,18 +87,18 @@ func ToJSON(d difftest.Digest) DigestJSON {
 }
 
 // FromJSON parses the wire form back into a digest.
-func FromJSON(j DigestJSON) (difftest.Digest, error) {
+func FromJSON(j DigestJSON) (digest.Digest, error) {
 	sum, err := strconv.ParseUint(j.Sum, 16, 64)
 	if err != nil {
-		return difftest.Digest{}, fmt.Errorf("dist: bad digest sum %q: %w", j.Sum, err)
+		return digest.Digest{}, fmt.Errorf("dist: bad digest sum %q: %w", j.Sum, err)
 	}
 	xor, err := strconv.ParseUint(j.Xor, 16, 64)
 	if err != nil {
-		return difftest.Digest{}, fmt.Errorf("dist: bad digest xor %q: %w", j.Xor, err)
+		return digest.Digest{}, fmt.Errorf("dist: bad digest xor %q: %w", j.Xor, err)
 	}
 	fold, err := strconv.ParseUint(j.Fold, 16, 64)
 	if err != nil {
-		return difftest.Digest{}, fmt.Errorf("dist: bad digest fold %q: %w", j.Fold, err)
+		return digest.Digest{}, fmt.Errorf("dist: bad digest fold %q: %w", j.Fold, err)
 	}
-	return difftest.Digest{Count: j.Count, Sum: sum, Xor: xor, Fold: fold}, nil
+	return digest.Digest{Count: j.Count, Sum: sum, Xor: xor, Fold: fold}, nil
 }

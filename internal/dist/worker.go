@@ -13,13 +13,11 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/baselines"
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/datasets"
-	"repro/internal/difftest"
+	"repro/internal/digest"
+	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/order"
 	"repro/internal/server"
 )
 
@@ -58,12 +56,9 @@ type Worker struct {
 	log    *slog.Logger
 
 	// Resolved once per process from the config.
-	cfg     Config
-	kind    engineKind
-	variant core.Variant
-	par     bool
-	ordered *graph.Bipartite // graph with the spec's V ordering applied
-	perm    []int32          // ordered V id -> original V id; nil for none
+	cfg  Config
+	eng  engine.Engine
+	plan engine.Plan // the graph with the spec's V ordering applied
 }
 
 // NewWorker builds a worker. Nothing touches the network until Run.
@@ -163,60 +158,27 @@ func (w *Worker) bootstrap(ctx context.Context) error {
 	}
 	w.cfg = cfg
 
-	kind, variant, par, err := resolveEngine(cfg.Spec.Algorithm)
+	eng, ordering, err := cfg.Spec.resolve()
 	if err != nil {
 		return err
 	}
-	w.kind, w.variant, w.par = kind, variant, par
+	w.eng = eng
 
 	g := w.opts.Graph
 	if g == nil {
-		if g, err = loadSpecGraph(cfg.Spec); err != nil {
+		if g, err = cfg.Spec.LoadGraph(); err != nil {
 			return err
 		}
 	}
 	if err := cfg.Spec.CheckGraph(g); err != nil {
 		return err
 	}
-
-	ok, usePerm, err := resolveOrdering(cfg.Spec.Ordering)
-	if err != nil {
-		return err
-	}
-	w.ordered, w.perm = g, nil
-	if usePerm {
-		perm := order.Permutation(g, ok, cfg.Spec.OrderSeed)
-		og, err := g.PermuteV(perm)
-		if err != nil {
-			return fmt.Errorf("dist: ordering: %w", err)
-		}
-		w.ordered, w.perm = og, perm
+	if w.plan, err = engine.Resolve(g, ordering, cfg.Spec.OrderSeed); err != nil {
+		return fmt.Errorf("dist: %w", err)
 	}
 	w.log.Info("dist_worker_ready", "worker", w.opts.ID, "algorithm", cfg.Spec.Algorithm,
 		"ordering", cfg.Spec.Ordering, "nv", cfg.Spec.NV, "ranges", cfg.Ranges)
 	return nil
-}
-
-// loadSpecGraph resolves the spec's graph locator.
-func loadSpecGraph(s Spec) (*graph.Bipartite, error) {
-	switch {
-	case s.Dataset != "":
-		spec, found := datasets.ByName(s.Dataset)
-		if !found {
-			return nil, fmt.Errorf("dist: unknown dataset %q", s.Dataset)
-		}
-		return spec.Build(), nil
-	case s.Path != "":
-		return graph.ReadKonectFile(s.Path)
-	case s.Bin != "":
-		f, err := os.Open(s.Bin)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return graph.ReadBinary(f)
-	}
-	return nil, errors.New("dist: spec has no graph locator and the worker was given no graph")
 }
 
 type leaseState int
@@ -279,7 +241,7 @@ func (w *Worker) runRange(ctx context.Context, lease Lease) error {
 		if err != nil {
 			return err
 		}
-		dj, tj := ToJSON(difftest.Digest{}), ToJSON(difftest.Digest{})
+		dj, tj := ToJSON(digest.Digest{}), ToJSON(digest.Digest{})
 		if err := st.send(Frame{Type: "done", From: lease.Resume, To: lease.End, Delta: &dj, Total: &tj}); err != nil {
 			return fmt.Errorf("range %d attempt %d: empty done frame: %w", lease.RangeID, lease.Attempt, err)
 		}
@@ -291,11 +253,7 @@ func (w *Worker) runRange(ctx context.Context, lease Lease) error {
 		return nil
 	}
 
-	workers := w.opts.Threads
-	if !w.par || workers < 1 {
-		workers = 1
-	}
-	sink := newRangeSink(w.perm, lease.Resume, lease.End, workers)
+	sink := newRangeSink(lease.Resume, lease.End)
 	frontier := ckpt.NewFrontier(lease.Resume, lease.End)
 
 	st, err := w.openStream(rctx, cancel, lease)
@@ -335,7 +293,7 @@ func (w *Worker) runRange(ctx context.Context, lease Lease) error {
 		}
 	}()
 
-	res, runErr := w.enumerate(rctx, lease, sink, frontier)
+	res, runErr := w.enumerate(rctx, lease, ckpt.MapBack(sink, w.plan.Perm, w.eng.Width(w.opts.Threads)), frontier)
 	close(stopFlush)
 	<-flushDone
 
@@ -376,7 +334,7 @@ func (w *Worker) runRange(ctx context.Context, lease Lease) error {
 type rangeProgress struct {
 	mu        sync.Mutex
 	sent      int32
-	total     difftest.Digest
+	total     digest.Digest
 	lastFrame time.Time
 }
 
@@ -409,34 +367,22 @@ func (w *Worker) flushWatermark(st *stream, sink *rangeSink, frontier *ckpt.Fron
 }
 
 // enumerate runs the spec's engine over [lease.Resume, lease.End).
-func (w *Worker) enumerate(ctx context.Context, lease Lease, sink *rangeSink, frontier *ckpt.Frontier) (core.Result, error) {
-	switch w.kind {
-	case engineBBK:
-		return baselines.Run(w.ordered, baselines.BBK, baselines.Options{
-			Context:   ctx,
-			FaultHook: w.opts.FaultHook,
-			Sink:      sink,
-			Frontier:  frontier,
-			StartRoot: lease.Resume,
-			EndRoot:   lease.End,
-		})
-	default:
-		threads := 0
-		if w.par && w.opts.Threads > 1 {
-			threads = w.opts.Threads
-		}
-		return core.Enumerate(w.ordered, core.Options{
-			Variant:   w.variant,
-			Tau:       w.cfg.Spec.Tau,
-			Threads:   threads,
-			Context:   ctx,
-			FaultHook: w.opts.FaultHook,
-			Sink:      sink,
-			Frontier:  frontier,
-			StartRoot: lease.Resume,
-			EndRoot:   lease.End,
-		})
+// Threads <= 1 runs serially.
+func (w *Worker) enumerate(ctx context.Context, lease Lease, sink core.Sink, frontier *ckpt.Frontier) (core.Result, error) {
+	threads := 0
+	if w.opts.Threads > 1 {
+		threads = w.opts.Threads
 	}
+	return engine.Run(w.plan, w.eng.ID, core.Options{
+		Tau:       w.cfg.Spec.Tau,
+		Threads:   threads,
+		Context:   ctx,
+		FaultHook: w.opts.FaultHook,
+		Sink:      sink,
+		Frontier:  frontier,
+		StartRoot: lease.Resume,
+		EndRoot:   lease.End,
+	})
 }
 
 // stream is one NDJSON frame stream over a chunked HTTP POST. Frames
@@ -518,44 +464,28 @@ func (s *stream) abort(cause error) {
 	<-s.respCh
 }
 
-// rangeSink accumulates one digest per root of the leased range. It
-// satisfies core's Sink interface structurally. Emission order within a
+// rangeSink accumulates one digest per root of the leased range. The
+// engine reaches it through ckpt.MapBack, so R arrives mapped back to
+// the original graph's id space and digests compare directly against a
+// single-process run's. Emission order within a
 // root is irrelevant (digests are commutative); different engine workers
 // may emit for the same root concurrently (stolen subtree tasks), so the
 // per-root digests are guarded by striped locks. drain is safe against
 // concurrent Emit because the frontier watermark guarantees no further
 // emissions for roots below it, and the stripe locks order memory.
 type rangeSink struct {
-	perm    []int32 // ordered V id -> original id for the R side; nil = identity
 	base    int32
-	digests []difftest.Digest
+	digests []digest.Digest
 	locks   [64]sync.Mutex
-	scratch [][]int32
 }
 
-func newRangeSink(perm []int32, start, end int32, workers int) *rangeSink {
-	return &rangeSink{
-		perm:    perm,
-		base:    start,
-		digests: make([]difftest.Digest, end-start),
-		scratch: make([][]int32, workers),
-	}
+func newRangeSink(start, end int32) *rangeSink {
+	return &rangeSink{base: start, digests: make([]digest.Digest, end-start)}
 }
 
-// Emit fingerprints one biclique into its root's digest. R is mapped
-// back to the original graph's id space first, so digests compare
-// directly against a single-process run's (the engine reports R in the
-// ordered id space; L is the U side and never permuted).
-func (s *rangeSink) Emit(worker int, root int32, L, R []int32) {
-	if s.perm != nil {
-		m := s.scratch[worker%len(s.scratch)][:0]
-		for _, v := range R {
-			m = append(m, s.perm[v])
-		}
-		s.scratch[worker%len(s.scratch)] = m
-		R = m
-	}
-	fp := difftest.Fingerprint(L, R)
+// Emit fingerprints one biclique into its root's digest.
+func (s *rangeSink) Emit(_ int, root int32, L, R []int32) {
+	fp := digest.Fingerprint(L, R)
 	i := root - s.base
 	lk := &s.locks[i&63]
 	lk.Lock()
@@ -565,8 +495,8 @@ func (s *rangeSink) Emit(worker int, root int32, L, R []int32) {
 
 // drain merges the digests of roots [from, to) — call only for roots at
 // or below the frontier watermark.
-func (s *rangeSink) drain(from, to int32) difftest.Digest {
-	var d difftest.Digest
+func (s *rangeSink) drain(from, to int32) digest.Digest {
+	var d digest.Digest
 	for r := from; r < to; r++ {
 		i := r - s.base
 		lk := &s.locks[i&63]

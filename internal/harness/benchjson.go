@@ -8,13 +8,11 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/baselines"
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/graph"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/order"
-	"repro/internal/spool"
 )
 
 // BenchRun is one measured enumeration in the perf-trajectory file
@@ -151,67 +149,44 @@ func BenchParallel(cfg Config, outPath string) error {
 		Runs:       []BenchRun{},
 	}
 
-	// measureBBK records the serial BBK row: same wall/allocation columns
-	// as the core rows (scheduler counters stay zero — BBK is serial), so
-	// the trajectory tracks the pivot engine's perf alongside AdaMBE's.
-	measureBBK := func(dataset string, g *graph.Bipartite) (BenchRun, error) {
-		deadline := time.Now().Add(cfg.tle())
-		var msBefore, msAfter runtime.MemStats
-		runtime.ReadMemStats(&msBefore)
-		start := time.Now()
-		res, err := baselines.Run(g, baselines.BBK, baselines.Options{
-			Deadline: deadline,
-			Context:  cfg.ctx(),
-		})
-		wall := time.Since(start)
-		runtime.ReadMemStats(&msAfter)
-		if err != nil {
-			return BenchRun{}, fmt.Errorf("harness: %s on %s: %w", AlgoBBK, dataset, err)
-		}
-		if res.StopReason != core.StopNone {
-			return BenchRun{}, fmt.Errorf("harness: %s on %s stopped early (%v); raise -tle for a comparable trajectory",
-				AlgoBBK, dataset, res.StopReason)
-		}
-		run := BenchRun{
-			Dataset:    dataset,
-			Algorithm:  AlgoBBK,
-			Threads:    1,
-			WallMS:     float64(wall.Microseconds()) / 1e3,
-			Count:      res.Count,
-			Allocs:     int64(msAfter.Mallocs - msBefore.Mallocs),
-			AllocBytes: int64(msAfter.TotalAlloc - msBefore.TotalAlloc),
-		}
-		if res.Count > 0 {
-			run.AllocsPerBiclique = float64(run.Allocs) / float64(res.Count)
-		}
-		return run, nil
-	}
-
-	measure := func(dataset string, g *graph.Bipartite, algo string, threads int) (BenchRun, error) {
+	// measure records one row. The BBK row has the same wall/allocation
+	// columns as the AdaMBE rows (its scheduler counters stay zero — BBK
+	// is serial), so the trajectory tracks the pivot engine's perf
+	// alongside AdaMBE's. A non-empty spoolDir attaches the durable spool
+	// (engine.RunSpooled, exactly the `mbe -out` path) and records what
+	// it absorbed: bytes, frames, MB/s and frames/s.
+	measure := func(dataset string, plan engine.Plan, id engine.ID, threads int, spoolDir string) (BenchRun, error) {
+		algo := id.String()
 		var m core.Metrics
 		var rec *obs.Recorder
-		if cfg.LiveObs {
+		if e, _ := id.Engine(); cfg.LiveObs && e.Core() { // only the core engines carry probes
 			rec = obs.NewRecorder(obs.RunInfo{
 				Algorithm: algo, Dataset: dataset, Threads: threads,
-				NU: g.NU(), NV: g.NV(), Edges: g.NumEdges(),
+				NU: plan.Graph.NU(), NV: plan.Graph.NV(), Edges: plan.Graph.NumEdges(),
 			})
 			// Stays published until the next run replaces it, so a
 			// -debug-addr poller always sees the latest (or final) state;
 			// run_id tells pollers when the run rolled over.
 			obs.Publish(rec)
 		}
-		deadline := time.Now().Add(cfg.tle())
-		var msBefore, msAfter runtime.MemStats
-		runtime.ReadMemStats(&msBefore)
-		start := time.Now()
-		res, err := core.Enumerate(g, core.Options{
-			Variant:  core.Ada,
+		opts := core.Options{
 			Threads:  threads,
-			Deadline: deadline,
+			Deadline: time.Now().Add(cfg.tle()),
 			Context:  cfg.ctx(),
 			Metrics:  &m,
 			Obs:      rec,
-		})
+		}
+		var msBefore, msAfter runtime.MemStats
+		runtime.ReadMemStats(&msBefore)
+		start := time.Now()
+		var res core.Result
+		var sess *ckpt.Session
+		var err error
+		if spoolDir == "" {
+			res, err = engine.Run(plan, id, opts)
+		} else {
+			res, sess, err = engine.RunSpooled(plan, id, opts, engine.Spool{Dir: spoolDir, Tool: "mbebench"})
+		}
 		wall := time.Since(start)
 		runtime.ReadMemStats(&msAfter)
 		if err != nil {
@@ -237,69 +212,13 @@ func BenchParallel(cfg Config, outPath string) error {
 		if res.Count > 0 {
 			run.AllocsPerBiclique = float64(run.Allocs) / float64(res.Count)
 		}
-		return run, nil
-	}
-
-	// measureSpooled repeats the widest ParAdaMBE run with the durable
-	// spool attached (internal/spool + internal/ckpt, exactly the `mbe
-	// -out` path) and records what the spool absorbed: bytes, frames,
-	// MB/s, frames/s, and the wall-time overhead vs the unspooled run.
-	measureSpooled := func(dataset string, g *graph.Bipartite, threads int, baseMS float64, wantCount int64) (BenchRun, error) {
-		tmp, err := os.MkdirTemp("", "mbebench-spool-")
-		if err != nil {
-			return BenchRun{}, err
-		}
-		defer os.RemoveAll(tmp)
-		sess, err := ckpt.Open(ckpt.OpenOptions{
-			Dir: filepath.Join(tmp, "spool"),
-			Meta: spool.Meta{
-				Version: 1, Tool: "mbebench", Algorithm: AlgoParAdaMBE, Ordering: "asc",
-				Shards: threads, NU: g.NU(), NV: g.NV(), Edges: g.NumEdges(),
-				GraphHash: spool.GraphSignature(g),
-			},
-		})
-		if err != nil {
-			return BenchRun{}, fmt.Errorf("harness: spooled %s: %w", dataset, err)
-		}
-		sess.Start()
-		start := time.Now()
-		res, err := core.Enumerate(g, core.Options{
-			Variant:   core.Ada,
-			Threads:   threads,
-			Deadline:  time.Now().Add(cfg.tle()),
-			Context:   cfg.ctx(),
-			Sink:      sess.Sink(nil, threads),
-			Frontier:  sess.Frontier(),
-			StartRoot: sess.StartRoot(),
-		})
-		wall := time.Since(start)
-		complete := err == nil && res.StopReason == core.StopNone
-		if ferr := sess.Finish(complete); ferr != nil && err == nil {
-			err = ferr
-		}
-		if err != nil {
-			return BenchRun{}, fmt.Errorf("harness: spooled %s (t=%d): %w", dataset, threads, err)
-		}
-		if !complete {
-			return BenchRun{}, fmt.Errorf("harness: spooled %s (t=%d) stopped early (%v); raise -tle for a comparable trajectory",
-				dataset, threads, res.StopReason)
-		}
-		if res.Count != wantCount {
-			return BenchRun{}, fmt.Errorf("harness: spooled %s (t=%d) counted %d, serial %d — durable-emission correctness regression",
-				dataset, threads, res.Count, wantCount)
-		}
-		st := sess.Stats()
-		run := BenchRun{
-			Dataset: dataset, Algorithm: AlgoParAdaMBE, Threads: threads,
-			WallMS: float64(wall.Microseconds()) / 1e3, Count: res.Count,
-			Spooled: true, SpoolBytes: st.Bytes, SpoolFrames: st.Frames,
-		}
-		if sec := wall.Seconds(); sec > 0 {
-			run.SpoolMBPerSec = float64(st.Bytes) / 1e6 / sec
-			run.SpoolFramesPerSec = float64(st.Frames) / sec
-		}
-		if baseMS > 0 {
-			run.SpoolOverheadPct = (run.WallMS - baseMS) / baseMS * 100
+		if sess != nil {
+			st := sess.Stats()
+			run.Spooled, run.SpoolBytes, run.SpoolFrames = true, st.Bytes, st.Frames
+			if sec := wall.Seconds(); sec > 0 {
+				run.SpoolMBPerSec = float64(st.Bytes) / 1e6 / sec
+				run.SpoolFramesPerSec = float64(st.Frames) / sec
+			}
 		}
 		return run, nil
 	}
@@ -308,9 +227,12 @@ func BenchParallel(cfg Config, outPath string) error {
 		if err := cfg.ctx().Err(); err != nil {
 			return err
 		}
-		g := order.Apply(spec.Build(), order.DegreeAscending, 0)
+		plan, err := engine.Resolve(spec.Build(), order.DegreeAscending, 0)
+		if err != nil {
+			return err
+		}
 
-		serial, err := measure(spec.Acronym, g, AlgoAdaMBE, 1)
+		serial, err := measure(spec.Acronym, plan, engine.AdaMBE, 1, "")
 		if err != nil {
 			return err
 		}
@@ -318,7 +240,7 @@ func BenchParallel(cfg Config, outPath string) error {
 		fmt.Fprintf(out, "%-6s %-10s t=%d  %8.1fms  count=%d\n",
 			spec.Acronym, serial.Algorithm, serial.Threads, serial.WallMS, serial.Count)
 
-		bbk, err := measureBBK(spec.Acronym, g)
+		bbk, err := measure(spec.Acronym, plan, engine.BBK, 1, "")
 		if err != nil {
 			return err
 		}
@@ -332,7 +254,7 @@ func BenchParallel(cfg Config, outPath string) error {
 
 		widestMS := serial.WallMS
 		for _, t := range benchThreadSweep {
-			run, err := measure(spec.Acronym, g, AlgoParAdaMBE, t)
+			run, err := measure(spec.Acronym, plan, engine.ParAdaMBE, t, "")
 			if err != nil {
 				return err
 			}
@@ -353,10 +275,24 @@ func BenchParallel(cfg Config, outPath string) error {
 			widestMS = run.WallMS
 		}
 
-		spoolThreads := benchThreadSweep[len(benchThreadSweep)-1]
-		spooled, err := measureSpooled(spec.Acronym, g, spoolThreads, widestMS, serial.Count)
+		// The widest ParAdaMBE run again, spooled: the wall-time overhead
+		// vs the unspooled run is the number the durability docs quote.
+		tmp, err := os.MkdirTemp("", "mbebench-spool-")
 		if err != nil {
 			return err
+		}
+		spoolThreads := benchThreadSweep[len(benchThreadSweep)-1]
+		spooled, err := measure(spec.Acronym, plan, engine.ParAdaMBE, spoolThreads, filepath.Join(tmp, "spool"))
+		os.RemoveAll(tmp)
+		if err != nil {
+			return err
+		}
+		if spooled.Count != serial.Count {
+			return fmt.Errorf("harness: spooled %s (t=%d) counted %d, serial %d — durable-emission correctness regression",
+				spec.Acronym, spoolThreads, spooled.Count, serial.Count)
+		}
+		if widestMS > 0 {
+			spooled.SpoolOverheadPct = (spooled.WallMS - widestMS) / widestMS * 100
 		}
 		file.Runs = append(file.Runs, spooled)
 		fmt.Fprintf(out, "%-6s %-10s t=%d  %8.1fms  count=%d  spool=%dB %.1fMB/s %.0fframes/s overhead=%+.1f%%\n",

@@ -19,9 +19,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/order"
 )
@@ -164,50 +164,35 @@ const (
 func SerialAlgos() []string   { return []string{AlgoFMBE, AlgoPMBE, AlgoOOMBEA, AlgoAdaMBE} }
 func ParallelAlgos() []string { return []string{AlgoParMBE, AlgoGMBE, AlgoParAdaMBE} }
 
-// RunAlgorithm executes one named algorithm on g with the given budget and
-// metrics hook (metrics only applies to the core variants), measuring peak
-// heap. The elapsed time includes any ordering the algorithm performs,
-// matching the paper's protocol (loading excluded, ordering included).
+// RunAlgorithm executes one named algorithm on g at the paper's τ with the
+// given budget and metrics hook (metrics only applies to the core variants
+// and BBK), measuring peak heap. The elapsed time includes any ordering the
+// algorithm performs, matching the paper's protocol (loading excluded,
+// ordering included).
 func RunAlgorithm(g *graph.Bipartite, algo string, cfg Config, metrics *core.Metrics) (RunResult, error) {
 	deadline := time.Now().Add(cfg.tle())
 	stop, peak := startHeapSampler()
 	defer stop()
 
+	e, err := engine.Parse(algo)
+	if err != nil {
+		return RunResult{}, fmt.Errorf("harness: %w", err)
+	}
+	// The root-partition engines (the AdaMBE family and BBK) pin their
+	// root decomposition to the V ordering and get ASC; the competitors
+	// apply their own papers' orderings.
+	ordering := order.None
+	if e.Partition {
+		ordering = order.DegreeAscending
+	}
 	start := time.Now()
+	plan, err := engine.Resolve(g, ordering, 0)
 	var res core.Result
-	var err error
-	switch algo {
-	case AlgoBaseline, AlgoLN, AlgoBIT, AlgoAdaMBE, AlgoParAdaMBE:
-		variant := map[string]core.Variant{
-			AlgoBaseline: core.Baseline, AlgoLN: core.LN,
-			AlgoBIT: core.BIT, AlgoAdaMBE: core.Ada, AlgoParAdaMBE: core.Ada,
-		}[algo]
-		og := order.Apply(g, order.DegreeAscending, 0)
-		threads := 0
-		if algo == AlgoParAdaMBE {
-			threads = cfg.threads()
-		}
-		res, err = core.Enumerate(og, core.Options{
-			Variant: variant, Tau: core.PaperTau, Threads: threads, Deadline: deadline,
+	if err == nil {
+		res, err = engine.Run(plan, e.ID, core.Options{
+			Tau: core.PaperTau, Threads: cfg.threads(), Deadline: deadline,
 			Context: cfg.ctx(), Metrics: metrics,
 		})
-	case AlgoFMBE:
-		res, err = baselines.Run(g, baselines.FMBE, baselines.Options{Deadline: deadline, Context: cfg.ctx()})
-	case AlgoPMBE:
-		res, err = baselines.Run(g, baselines.PMBE, baselines.Options{Deadline: deadline, Context: cfg.ctx()})
-	case AlgoOOMBEA:
-		res, err = baselines.Run(g, baselines.OOMBEA, baselines.Options{Deadline: deadline, Context: cfg.ctx()})
-	case AlgoParMBE:
-		res, err = baselines.Run(g, baselines.ParMBE, baselines.Options{Deadline: deadline, Context: cfg.ctx(), Threads: cfg.threads()})
-	case AlgoGMBE:
-		res, err = baselines.Run(g, baselines.GMBE, baselines.Options{Deadline: deadline, Context: cfg.ctx(), Threads: cfg.threads()})
-	case AlgoBBK:
-		// BBK pins its root decomposition to the V ordering like the
-		// AdaMBE family, so it gets the same ASC permutation.
-		og := order.Apply(g, order.DegreeAscending, 0)
-		res, err = baselines.Run(og, baselines.BBK, baselines.Options{Deadline: deadline, Context: cfg.ctx(), Metrics: metrics})
-	default:
-		return RunResult{}, fmt.Errorf("harness: unknown algorithm %q", algo)
 	}
 	elapsed := time.Since(start)
 	if err != nil {

@@ -27,6 +27,8 @@ const (
 	// one-mode projection of V, which is the "additional overhead" the
 	// paper attributes to this scheme.
 	UnilateralCore
+	// None keeps the input order: its permutation is the identity.
+	None
 )
 
 // String returns the name used in the paper's figures.
@@ -38,22 +40,11 @@ func (k Kind) String() string {
 		return "RAND"
 	case UnilateralCore:
 		return "UC"
+	case None:
+		return "NONE"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
-}
-
-// ParseKind maps a name ("asc", "rand", "uc") to a Kind.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "asc", "ASC", "increasing":
-		return DegreeAscending, nil
-	case "rand", "RAND", "random":
-		return Random, nil
-	case "uc", "UC", "unilateral":
-		return UnilateralCore, nil
-	}
-	return 0, fmt.Errorf("order: unknown ordering %q (want asc|rand|uc)", s)
 }
 
 // Permutation returns a permutation p of V such that processing new id i =
@@ -78,6 +69,7 @@ func Permutation(g *graph.Bipartite, k Kind, seed int64) []int32 {
 		sort.SliceStable(perm, func(i, j int) bool {
 			return core[perm[i]] < core[perm[j]]
 		})
+	case None:
 	default:
 		panic(fmt.Sprintf("order: unknown Kind %d", int(k)))
 	}

@@ -47,10 +47,15 @@ func isPermutation(p []int32, n int) bool {
 
 func TestPermutationIsValidForAllKinds(t *testing.T) {
 	g := randomGraph(t, 1, 60, 40, 300)
-	for _, k := range []Kind{DegreeAscending, Random, UnilateralCore} {
+	for _, k := range []Kind{DegreeAscending, Random, UnilateralCore, None} {
 		p := Permutation(g, k, 99)
 		if !isPermutation(p, g.NV()) {
 			t.Fatalf("%v: not a permutation: %v", k, p)
+		}
+	}
+	for i, v := range Permutation(g, None, 99) {
+		if v != int32(i) {
+			t.Fatalf("None: permutation is not the identity at %d: %d", i, v)
 		}
 	}
 }
@@ -163,21 +168,6 @@ func TestApplyPreservesGraph(t *testing.T) {
 				t.Fatalf("%v: degree multiset changed", k)
 			}
 		}
-	}
-}
-
-func TestKindStringAndParse(t *testing.T) {
-	for _, k := range []Kind{DegreeAscending, Random, UnilateralCore} {
-		got, err := ParseKind(k.String())
-		if err != nil || got != k {
-			t.Fatalf("ParseKind(%q) = %v, %v", k.String(), got, err)
-		}
-	}
-	if _, err := ParseKind("bogus"); err == nil {
-		t.Fatal("ParseKind accepted bogus name")
-	}
-	if Kind(42).String() == "" {
-		t.Fatal("unknown kind has empty name")
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	mbe "repro"
+	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/order"
 )
 
 // JobState is one node of the job lifecycle state machine:
@@ -45,9 +47,10 @@ type JobSpec struct {
 	// GraphID names a graph previously stored via POST /v1/graphs (or
 	// the dataset shortcut there).
 	GraphID string `json:"graph_id"`
-	// Algorithm is a mbe.ParseAlgorithm spelling. The AdaMBE family
-	// and BBK are accepted: daemon jobs stream to a durable spool,
-	// which the competitor engines do not support. Empty means AdaMBE,
+	// Algorithm is a mbe.ParseAlgorithm spelling. The root-partition
+	// engines (the AdaMBE family and BBK) are accepted: daemon jobs
+	// stream to a durable spool, which the competitor engines do not
+	// support. Empty means AdaMBE,
 	// or ParAdaMBE when the resolved thread count exceeds 1.
 	Algorithm string `json:"algorithm,omitempty"`
 	// Ordering is a mbe.ParseOrdering spelling; Seed feeds "rand".
@@ -77,10 +80,9 @@ func (s JobSpec) Validate() error {
 	if err != nil {
 		return err
 	}
-	switch a {
-	case mbe.AdaMBE, mbe.ParAdaMBE, mbe.BaselineMBE, mbe.AdaMBELN, mbe.AdaMBEBIT, mbe.BBK:
-	default:
-		return fmt.Errorf("algorithm %s does not support durable spooling; daemon jobs accept the AdaMBE family and BBK", a)
+	if e, _ := engine.ID(a).Engine(); !e.Partition {
+		return fmt.Errorf("algorithm %s does not support durable spooling; daemon jobs accept %s",
+			a, strings.Join(engine.Names(engine.Partition), "|"))
 	}
 	if _, err := mbe.ParseOrdering(s.Ordering); err != nil {
 		return err
@@ -98,10 +100,8 @@ func (s JobSpec) Validate() error {
 // because they pin the root decomposition a resumable spool is keyed
 // by, so equal keys can share a spool byte-for-byte).
 func (s JobSpec) CacheKey() string {
-	ord := s.Ordering
-	if ord == "" {
-		ord = "asc"
-	}
+	k, _ := mbe.ParseOrdering(s.Ordering) // validated at submit; "" is asc
+	ord, _ := engine.OrderingName(order.Kind(k))
 	return strings.Join([]string{s.GraphID, ord, fmt.Sprint(s.Seed)}, "|")
 }
 

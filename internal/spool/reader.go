@@ -12,6 +12,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/digest"
 )
 
 // LoadMeta reads and decodes the spool's meta file.
@@ -70,6 +72,20 @@ func Replay(dir string, fn func(root int32, L, R []int32)) ([]ShardState, error)
 // Verify is Replay without a record consumer: it still decodes every
 // frame (CRC and record-structure checks), reporting per-shard state.
 func Verify(dir string) ([]ShardState, error) { return Replay(dir, nil) }
+
+// ReplayDigest replays the spool at dir into a run digest, comparable
+// with any in-memory enumeration of the same graph: the spool stores
+// original-graph ids, and fingerprints are order-invariant within sides.
+// It fails on a dirty shard tail, because a digest of silently
+// truncated output is not comparable.
+func ReplayDigest(dir string) (digest.Digest, error) {
+	var d digest.Digest
+	states, err := Replay(dir, func(_ int32, L, R []int32) { d.Observe(L, R) })
+	if err != nil {
+		return d, err
+	}
+	return d, Clean(states)
+}
 
 // Clean returns nil when every shard ends at a frame boundary with no
 // tail corruption, else an error naming the first dirty shard.

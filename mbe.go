@@ -28,12 +28,11 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"time"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/datasets"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -161,85 +160,45 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	return &Graph{b}, nil
 }
 
-// Algorithm selects the enumeration algorithm.
+// Algorithm selects the enumeration algorithm. Its names, parallelism
+// and support for orderings, root ranges and the spool come from one
+// registry (internal/engine).
 type Algorithm int
 
 const (
 	// AdaMBE is the paper's serial algorithm (Algorithm 2): local
 	// neighborhoods + adaptive bitmaps. The default.
-	AdaMBE Algorithm = iota
+	AdaMBE = Algorithm(engine.AdaMBE)
 	// ParAdaMBE is the shared-memory parallel AdaMBE.
-	ParAdaMBE
+	ParAdaMBE = Algorithm(engine.ParAdaMBE)
 	// BaselineMBE is Algorithm 1 without LN or BIT (for ablations).
-	BaselineMBE
+	BaselineMBE = Algorithm(engine.Baseline)
 	// AdaMBELN enables only the local-neighborhood technique.
-	AdaMBELN
+	AdaMBELN = Algorithm(engine.AdaMBELN)
 	// AdaMBEBIT enables only the bitmap technique.
-	AdaMBEBIT
+	AdaMBEBIT = Algorithm(engine.AdaMBEBIT)
 	// FMBE, PMBE, OOMBEA are the serial competitors; ParMBE and GMBESim
 	// the parallel ones (GMBESim is the CPU simulation of the GPU
 	// algorithm GMBE).
-	FMBE
-	PMBE
-	OOMBEA
-	ParMBE
-	GMBESim
+	FMBE    = Algorithm(engine.FMBE)
+	PMBE    = Algorithm(engine.PMBE)
+	OOMBEA  = Algorithm(engine.OOMBEA)
+	ParMBE  = Algorithm(engine.ParMBE)
+	GMBESim = Algorithm(engine.GMBESim)
 	// BBK is the pivot-based bipartite Bron–Kerbosch of Baudin et al.
 	// (arXiv:2405.04428), a post-paper serial engine. Unlike the paper
 	// competitors it honors Ordering and supports the durable spool
 	// (SpoolDir/Resume).
-	BBK
+	BBK = Algorithm(engine.BBK)
 )
 
-// algorithmTable is the single source of truth for every Algorithm's
-// spellings: String, AlgorithmNames and ParseAlgorithm all derive from
-// it, so the CLI/daemon help and the "want a|b|…" error can never drift
-// from the enum (TestAlgorithmTableDrift pins this). Menu order: the
-// AdaMBE family in the paper's ablation order, then every other engine
-// sorted case-insensitively by name. name is the canonical CLI/API
-// spelling; display, when non-empty, is the distinct String() form.
-var algorithmTable = []struct {
-	alg     Algorithm
-	name    string
-	display string
-}{
-	{alg: AdaMBE, name: "AdaMBE"},
-	{alg: ParAdaMBE, name: "ParAdaMBE"},
-	{alg: BaselineMBE, name: "Baseline"},
-	{alg: AdaMBELN, name: "AdaMBE-LN"},
-	{alg: AdaMBEBIT, name: "AdaMBE-BIT"},
-	{alg: BBK, name: "BBK"},
-	{alg: FMBE, name: "FMBE"},
-	{alg: GMBESim, name: "GMBE", display: "GMBE-sim"},
-	{alg: OOMBEA, name: "ooMBEA"},
-	{alg: ParMBE, name: "ParMBE"},
-	{alg: PMBE, name: "PMBE"},
-}
-
 // String returns the algorithm's name as used in the paper.
-func (a Algorithm) String() string {
-	for _, e := range algorithmTable {
-		if e.alg == a {
-			if e.display != "" {
-				return e.display
-			}
-			return e.name
-		}
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
+func (a Algorithm) String() string { return engine.ID(a).String() }
 
 // AlgorithmNames lists the CLI/API spellings accepted by ParseAlgorithm,
 // in menu order: the AdaMBE family first, then the remaining engines
-// sorted case-insensitively. Derived from the same table as String and
-// ParseAlgorithm.
-var AlgorithmNames = func() []string {
-	names := make([]string, len(algorithmTable))
-	for i, e := range algorithmTable {
-		names[i] = e.name
-	}
-	return names
-}()
+// sorted case-insensitively.
+var AlgorithmNames = engine.Names(nil)
 
 // ParseAlgorithm maps a CLI/API algorithm name to its Algorithm,
 // case-insensitively ("bbk" and "BBK" both work, as do display forms
@@ -250,30 +209,27 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 	if name == "" {
 		return AdaMBE, nil
 	}
-	for _, e := range algorithmTable {
-		if strings.EqualFold(name, e.name) || (e.display != "" && strings.EqualFold(name, e.display)) {
-			return e.alg, nil
-		}
+	e, err := engine.Parse(name)
+	if err != nil {
+		return 0, fmt.Errorf("mbe: %w", err)
 	}
-	return 0, fmt.Errorf("mbe: unknown algorithm %q (want %s)", name, strings.Join(AlgorithmNames, "|"))
+	return Algorithm(e.ID), nil
 }
 
 // OrderingNames lists the spellings accepted by ParseOrdering.
-var OrderingNames = []string{"asc", "rand", "uc", "none"}
+var OrderingNames = engine.OrderingNames
 
-// ParseOrdering maps a CLI/API ordering name to its Ordering.
+// ParseOrdering maps a CLI/API ordering name to its Ordering,
+// case-insensitively; the empty string is the default, ascending degree.
 func ParseOrdering(name string) (Ordering, error) {
-	switch name {
-	case "asc", "":
+	if name == "" {
 		return OrderAscendingDegree, nil
-	case "rand":
-		return OrderRandom, nil
-	case "uc":
-		return OrderUnilateralCore, nil
-	case "none":
-		return OrderNone, nil
 	}
-	return 0, fmt.Errorf("mbe: unknown ordering %q (want %s)", name, strings.Join(OrderingNames, "|"))
+	k, err := engine.ParseOrdering(name)
+	if err != nil {
+		return 0, fmt.Errorf("mbe: %w", err)
+	}
+	return Ordering(k), nil
 }
 
 // Ordering selects the V-side processing order for the AdaMBE family and
@@ -282,13 +238,13 @@ type Ordering int
 
 const (
 	// OrderAscendingDegree is AdaMBE's default (Fig. 12's winner).
-	OrderAscendingDegree Ordering = iota
+	OrderAscendingDegree = Ordering(order.DegreeAscending)
 	// OrderRandom shuffles V (seeded).
-	OrderRandom
+	OrderRandom = Ordering(order.Random)
 	// OrderUnilateralCore is ooMBEA's UC order.
-	OrderUnilateralCore
+	OrderUnilateralCore = Ordering(order.UnilateralCore)
 	// OrderNone keeps the input order.
-	OrderNone
+	OrderNone = Ordering(order.None)
 )
 
 // Handler receives each maximal biclique. Slices are reused by the engine:
@@ -342,7 +298,7 @@ type Options struct {
 	Tau int
 	// Threads for the parallel algorithms; 0 = GOMAXPROCS.
 	Threads int
-	// Ordering for the AdaMBE family; default ascending degree.
+	// Ordering for the AdaMBE family and BBK; default ascending degree.
 	Ordering Ordering
 	// Seed for OrderRandom.
 	Seed int64
@@ -450,125 +406,26 @@ func Enumerate(g *Graph, opts Options) (Result, error) {
 	if (opts.StartRoot != 0 || opts.EndRoot != 0) && opts.SpoolDir != "" {
 		return Result{}, fmt.Errorf("mbe: StartRoot/EndRoot cannot be combined with SpoolDir (a spool manages its own root frontier)")
 	}
-	switch opts.Algorithm {
-	case AdaMBE, ParAdaMBE, BaselineMBE, AdaMBELN, AdaMBEBIT:
-		if opts.SpoolDir != "" {
-			return enumerateSpooled(g, opts)
-		}
-		return enumerateCore(g, opts)
-	case BBK:
-		if opts.SpoolDir != "" {
-			return enumerateSpooledBBK(g, opts)
-		}
-		return enumerateBBK(g, opts)
-	case FMBE, PMBE, OOMBEA, ParMBE, GMBESim:
-		if opts.SpoolDir != "" {
-			return Result{}, fmt.Errorf("mbe: SpoolDir is only supported by the AdaMBE family and BBK, not %s", opts.Algorithm)
-		}
-		if opts.StartRoot != 0 || opts.EndRoot != 0 {
-			return Result{}, fmt.Errorf("mbe: StartRoot/EndRoot are only supported by the AdaMBE family and BBK, not %s", opts.Algorithm)
-		}
-		alg := map[Algorithm]baselines.Algorithm{
-			FMBE: baselines.FMBE, PMBE: baselines.PMBE, OOMBEA: baselines.OOMBEA,
-			ParMBE: baselines.ParMBE, GMBESim: baselines.GMBE,
-		}[opts.Algorithm]
-		return baselines.Run(g.b, alg, baselines.Options{
-			Threads:        opts.Threads,
-			OnBiclique:     opts.OnBiclique,
-			Deadline:       opts.Deadline,
-			Context:        opts.Context,
-			MaxMemoryBytes: opts.MaxMemoryBytes,
-		})
-	default:
+	e, ok := engine.ID(opts.Algorithm).Engine()
+	if !ok {
 		return Result{}, fmt.Errorf("mbe: unknown algorithm %d", int(opts.Algorithm))
 	}
-}
-
-// resolveOrdering applies the requested V-side ordering: it returns the
-// (possibly permuted) graph and the permutation used (nil for OrderNone).
-// Shared by the AdaMBE-family paths and BBK — both pin the root
-// decomposition to the ordering, which is what a spool's checkpoint
-// watermark refers to.
-func resolveOrdering(g *Graph, opts Options) (*graph.Bipartite, []int32, error) {
-	b := g.b
-	var perm []int32
-	switch opts.Ordering {
-	case OrderNone:
-	case OrderAscendingDegree, OrderRandom, OrderUnilateralCore:
-		kind := map[Ordering]order.Kind{
-			OrderAscendingDegree: order.DegreeAscending,
-			OrderRandom:          order.Random,
-			OrderUnilateralCore:  order.UnilateralCore,
-		}[opts.Ordering]
-		perm = order.Permutation(b, kind, opts.Seed)
-		var err error
-		b, err = b.PermuteV(perm)
-		if err != nil {
-			return nil, nil, err
-		}
-	default:
-		return nil, nil, fmt.Errorf("mbe: unknown ordering %d", int(opts.Ordering))
+	ordering := order.Kind(opts.Ordering)
+	if !e.Partition {
+		ordering = order.None // the competitors apply their own papers' orderings
 	}
-	return b, perm, nil
-}
-
-// resolveCoreRun maps an AdaMBE-family Options onto the core engine's
-// inputs: the variant, the V-permuted graph, and the permutation used
-// (nil for OrderNone).
-func resolveCoreRun(g *Graph, opts Options) (*graph.Bipartite, core.Variant, []int32, error) {
-	variant := map[Algorithm]core.Variant{
-		AdaMBE: core.Ada, ParAdaMBE: core.Ada, BaselineMBE: core.Baseline,
-		AdaMBELN: core.LN, AdaMBEBIT: core.BIT,
-	}[opts.Algorithm]
-	b, perm, err := resolveOrdering(g, opts)
-	if err != nil {
-		return nil, variant, nil, err
-	}
-	return b, variant, perm, nil
-}
-
-// enumerateBBK runs the BBK engine with the mbe-level ordering applied
-// and R ids mapped back to g's id space, like enumerateCore.
-func enumerateBBK(g *Graph, opts Options) (Result, error) {
-	b, perm, err := resolveOrdering(g, opts)
+	plan, err := engine.Resolve(g.b, ordering, opts.Seed)
 	if err != nil {
 		return Result{}, err
 	}
-	return baselines.Run(b, baselines.BBK, baselines.Options{
-		OnBiclique:     wrapMapBack(opts, perm),
-		Deadline:       opts.Deadline,
-		Context:        opts.Context,
-		MaxMemoryBytes: opts.MaxMemoryBytes,
-		Metrics:        opts.Metrics,
-		StartRoot:      opts.StartRoot,
-		EndRoot:        opts.EndRoot,
-	})
-}
-
-// coreThreads resolves the effective parallel width (0 = serial).
-func (o Options) coreThreads() int {
-	if o.Algorithm != ParAdaMBE {
-		return 0
+	threads := opts.Threads
+	if threads == 0 && e.Parallel {
+		threads = runtime.GOMAXPROCS(0)
 	}
-	if o.Threads == 0 {
-		return defaultThreads()
-	}
-	return o.Threads
-}
-
-func enumerateCore(g *Graph, opts Options) (Result, error) {
-	b, variant, perm, err := resolveCoreRun(g, opts)
-	if err != nil {
-		return Result{}, err
-	}
-
-	handler := wrapMapBack(opts, perm)
-
-	return core.Enumerate(b, core.Options{
-		Variant:        variant,
+	run := core.Options{
 		Tau:            opts.Tau,
-		Threads:        opts.coreThreads(),
-		OnBiclique:     handler,
+		Threads:        threads,
+		OnBiclique:     opts.OnBiclique,
 		UnorderedEmit:  opts.UnorderedEmit,
 		Deadline:       opts.Deadline,
 		Context:        opts.Context,
@@ -577,10 +434,21 @@ func enumerateCore(g *Graph, opts Options) (Result, error) {
 		Obs:            opts.Obs,
 		StartRoot:      opts.StartRoot,
 		EndRoot:        opts.EndRoot,
+	}
+	if opts.SpoolDir == "" {
+		return engine.Run(plan, e.ID, run)
+	}
+	res, _, err := engine.RunSpooled(plan, e.ID, run, engine.Spool{
+		Dir:      opts.SpoolDir,
+		Tool:     "mbe",
+		Resume:   opts.Resume,
+		Every:    opts.Checkpoint.Every,
+		Fsync:    opts.SpoolFsync,
+		Compress: opts.SpoolCompress,
+		OnWarn:   opts.OnWarning,
 	})
+	return res, err
 }
-
-func defaultThreads() int { return runtime.GOMAXPROCS(0) }
 
 // Count enumerates with default options (serial AdaMBE) and returns only
 // the number of maximal bicliques.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	mbe "repro"
+	"repro/internal/engine"
 )
 
 func rootsTestGraph(t *testing.T, seed int64, nu, nv, m int) *mbe.Graph {
@@ -24,13 +25,17 @@ func rootsTestGraph(t *testing.T, seed int64, nu, nv, m int) *mbe.Graph {
 
 // TestRootRangeShardsMergeToFullRun: through the public API, digests of
 // disjoint [StartRoot, EndRoot) shards merge into the full run's digest
-// for every engine that supports the root partition contract, under a
-// non-trivial ordering (the range is interpreted in the ordered root
-// space, but emitted ids — and hence digests — are in the original id
-// space either way).
+// for every engine the registry marks as honouring the root partition
+// contract, under a non-trivial ordering (the range is interpreted in
+// the ordered root space, but emitted ids — and hence digests — are in
+// the original id space either way).
 func TestRootRangeShardsMergeToFullRun(t *testing.T) {
 	g := rootsTestGraph(t, 4, 30, 40, 300)
-	for _, alg := range []mbe.Algorithm{mbe.AdaMBE, mbe.ParAdaMBE, mbe.AdaMBEBIT, mbe.BBK} {
+	for _, e := range engine.All() {
+		if !e.Partition {
+			continue
+		}
+		alg := mbe.Algorithm(e.ID)
 		base := mbe.Options{Algorithm: alg, Ordering: mbe.OrderRandom, Seed: 5, Threads: 2}
 
 		var full mbe.Digest

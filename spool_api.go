@@ -1,224 +1,8 @@
 package mbe
 
 import (
-	"context"
-	"fmt"
-	"time"
-
-	"repro/internal/baselines"
-	"repro/internal/ckpt"
-	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/spool"
 )
-
-// orderingTag is the stable identifier stored in a spool's meta file:
-// with the seed it pins the root decomposition a checkpoint watermark
-// refers to, so a resume under a different ordering is refused.
-func orderingTag(o Ordering) string {
-	switch o {
-	case OrderAscendingDegree:
-		return "asc"
-	case OrderRandom:
-		return "rand"
-	case OrderUnilateralCore:
-		return "uc"
-	case OrderNone:
-		return "none"
-	default:
-		return fmt.Sprintf("ordering-%d", int(o))
-	}
-}
-
-// enumerateSpooled is enumerateCore with the durable output path
-// attached: bicliques stream to the sharded spool, the root frontier is
-// tracked, and checkpoints make the run resumable.
-func enumerateSpooled(g *Graph, opts Options) (Result, error) {
-	b, variant, perm, err := resolveCoreRun(g, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	threads := opts.coreThreads()
-	workers := threads
-	if workers < 1 {
-		workers = 1
-	}
-
-	meta := spool.Meta{
-		Version:   1,
-		Tool:      "mbe",
-		Algorithm: opts.Algorithm.String(),
-		Ordering:  orderingTag(opts.Ordering),
-		OrderSeed: opts.Seed,
-		Tau:       opts.Tau,
-		Shards:    workers,
-		NU:        g.NU(),
-		NV:        g.NV(),
-		Edges:     g.NumEdges(),
-		GraphHash: spool.GraphSignature(g.b),
-		Compress:  opts.SpoolCompress,
-		CreatedAt: time.Now().UTC().Format(time.RFC3339),
-	}
-
-	// A spool write error cancels the run promptly (StopCanceled):
-	// without this, an enumeration with a broken disk would grind on for
-	// hours silently dropping output.
-	baseCtx := opts.Context
-	if baseCtx == nil {
-		baseCtx = context.Background()
-	}
-	runCtx, cancel := context.WithCancel(baseCtx)
-	defer cancel()
-
-	sess, err := ckpt.Open(ckpt.OpenOptions{
-		Dir:    opts.SpoolDir,
-		Meta:   meta,
-		Resume: opts.Resume,
-		Every:  opts.Checkpoint.Every,
-		Writer: spool.WriterOptions{
-			Fsync:   opts.SpoolFsync,
-			OnError: func(error) { cancel() },
-		},
-		OnWarn: opts.OnWarning,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	if sess.AlreadyComplete() {
-		return Result{StopReason: StopNone}, nil
-	}
-
-	handler := wrapMapBack(opts, perm)
-	if opts.Obs != nil {
-		sessRef := sess
-		opts.Obs.SetSpoolStats(func() obs.SpoolStats {
-			st := sessRef.Stats()
-			return obs.SpoolStats{Bytes: st.Bytes, Frames: st.Frames, Records: st.Records, Fsyncs: st.Fsyncs}
-		})
-	}
-
-	sess.Start()
-	res, err := core.Enumerate(b, core.Options{
-		Variant:        variant,
-		Tau:            opts.Tau,
-		Threads:        threads,
-		OnBiclique:     handler,
-		UnorderedEmit:  opts.UnorderedEmit,
-		Deadline:       opts.Deadline,
-		Context:        runCtx,
-		MaxMemoryBytes: opts.MaxMemoryBytes,
-		Metrics:        opts.Metrics,
-		Obs:            opts.Obs,
-		Sink:           sess.Sink(perm, workers),
-		Frontier:       sess.Frontier(),
-		StartRoot:      sess.StartRoot(),
-	})
-	complete := err == nil && res.StopReason == StopNone
-	if ferr := sess.Finish(complete); ferr != nil && err == nil {
-		err = fmt.Errorf("mbe: spool: %w", ferr)
-	}
-	return res, err
-}
-
-// enumerateSpooledBBK is enumerateBBK with the durable output path
-// attached, mirroring enumerateSpooled: BBK shares the core engines'
-// root partition (every biclique is emitted under root min(R)), so the
-// same root-tagged spool + frontier-watermark checkpoint protocol is
-// exact for it. BBK is serial, so the spool always has one shard.
-func enumerateSpooledBBK(g *Graph, opts Options) (Result, error) {
-	b, perm, err := resolveOrdering(g, opts)
-	if err != nil {
-		return Result{}, err
-	}
-
-	meta := spool.Meta{
-		Version:   1,
-		Tool:      "mbe",
-		Algorithm: opts.Algorithm.String(),
-		Ordering:  orderingTag(opts.Ordering),
-		OrderSeed: opts.Seed,
-		Tau:       opts.Tau,
-		Shards:    1,
-		NU:        g.NU(),
-		NV:        g.NV(),
-		Edges:     g.NumEdges(),
-		GraphHash: spool.GraphSignature(g.b),
-		Compress:  opts.SpoolCompress,
-		CreatedAt: time.Now().UTC().Format(time.RFC3339),
-	}
-
-	// As in enumerateSpooled: a spool write error cancels the run
-	// promptly instead of silently dropping output.
-	baseCtx := opts.Context
-	if baseCtx == nil {
-		baseCtx = context.Background()
-	}
-	runCtx, cancel := context.WithCancel(baseCtx)
-	defer cancel()
-
-	sess, err := ckpt.Open(ckpt.OpenOptions{
-		Dir:    opts.SpoolDir,
-		Meta:   meta,
-		Resume: opts.Resume,
-		Every:  opts.Checkpoint.Every,
-		Writer: spool.WriterOptions{
-			Fsync:   opts.SpoolFsync,
-			OnError: func(error) { cancel() },
-		},
-		OnWarn: opts.OnWarning,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	if sess.AlreadyComplete() {
-		return Result{StopReason: StopNone}, nil
-	}
-
-	sess.Start()
-	res, err := baselines.Run(b, baselines.BBK, baselines.Options{
-		OnBiclique:     wrapMapBack(opts, perm),
-		Deadline:       opts.Deadline,
-		Context:        runCtx,
-		MaxMemoryBytes: opts.MaxMemoryBytes,
-		Metrics:        opts.Metrics,
-		Sink:           sess.Sink(perm, 1),
-		Frontier:       sess.Frontier(),
-		StartRoot:      sess.StartRoot(),
-	})
-	complete := err == nil && res.StopReason == StopNone
-	if ferr := sess.Finish(complete); ferr != nil && err == nil {
-		err = fmt.Errorf("mbe: spool: %w", ferr)
-	}
-	return res, err
-}
-
-// wrapMapBack applies the enumerateCore R-side permutation map-back to
-// the user handler (shared by the spooled path, whose Sink does its own
-// map-back inside the session).
-func wrapMapBack(opts Options, perm []int32) Handler {
-	handler := opts.OnBiclique
-	if handler == nil || perm == nil {
-		return handler
-	}
-	inner := handler
-	if opts.UnorderedEmit {
-		return func(L, R []int32) {
-			h := make([]int32, 0, len(R))
-			for _, v := range R {
-				h = append(h, perm[v])
-			}
-			inner(L, h)
-		}
-	}
-	h := make([]int32, 0, 64)
-	return func(L, R []int32) {
-		h = h[:0]
-		for _, v := range R {
-			h = append(h, perm[v])
-		}
-		inner(L, h)
-	}
-}
 
 // ReadSpool streams every biclique stored in the spool at dir to fn, in
 // shard order, and returns how many records were delivered. The L and R
@@ -245,11 +29,4 @@ func ReadSpool(dir string, fn Handler) (int64, error) {
 // multiset summary used to compare a spooled (or resumed) run against
 // any other enumeration of the same graph. Unlike ReadSpool it fails on
 // a corrupt tail rather than digesting a silently shortened output.
-func SpoolDigest(dir string) (Digest, error) {
-	var d Digest
-	states, err := spool.Replay(dir, func(_ int32, L, R []int32) { d.Observe(L, R) })
-	if err != nil {
-		return d, err
-	}
-	return d, spool.Clean(states)
-}
+func SpoolDigest(dir string) (Digest, error) { return spool.ReplayDigest(dir) }

@@ -2,11 +2,13 @@ package mbe_test
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
 
 	mbe "repro"
+	"repro/internal/engine"
 )
 
 // busyGraph builds a random bipartite graph dense enough that serial
@@ -182,8 +184,17 @@ func TestSpoolOptionValidation(t *testing.T) {
 	if _, err := mbe.Enumerate(g, mbe.Options{Algorithm: mbe.AdaMBE, Resume: true}); err == nil {
 		t.Error("Resume without SpoolDir must be rejected")
 	}
-	if _, err := mbe.Enumerate(g, mbe.Options{Algorithm: mbe.FMBE, SpoolDir: t.TempDir()}); err == nil {
-		t.Error("SpoolDir with a baseline algorithm must be rejected")
+	for _, e := range engine.All() {
+		if e.Partition {
+			continue
+		}
+		dir := filepath.Join(t.TempDir(), "spool")
+		if _, err := mbe.Enumerate(g, mbe.Options{Algorithm: mbe.Algorithm(e.ID), SpoolDir: dir}); err == nil {
+			t.Errorf("SpoolDir with the baseline algorithm %s must be rejected", e)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%s: a refused spooled run left %s behind (stat err %v)", e, dir, err)
+		}
 	}
 
 	// A resume under a different ordering/seed is refused: the
