@@ -85,7 +85,8 @@ type Options struct {
 	// FaultHook, if non-nil, is invoked at the baselines' instrumentation
 	// sites (the Site* constants in this package). Same contract as
 	// core.Options.FaultHook: an error simulates an allocation failure, a
-	// panic exercises the panic-isolation path. Test-only.
+	// panic exercises the panic-isolation path, and every site also polls
+	// the stop conditions. Test-only.
 	FaultHook func(site string) error
 	// Metrics, if non-nil, gathers node and set-intersection counters.
 	// Only BBK reports metrics; the paper competitors ignore it (their

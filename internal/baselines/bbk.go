@@ -54,15 +54,11 @@ type bbkEngine struct {
 // bbkGallopFactor matches the core engines' merge-vs-gallop crossover.
 const bbkGallopFactor = 16
 
-// faultStep fires the injection hook at site; a returned error is treated
-// as a failed allocation and degrades the run like a blown memory budget.
+// faultStep runs the injection hook at site (tle.Stopper.Site): an error
+// degrades the run like a blown memory budget, and under a hook the site
+// polls the stop conditions.
 func (e *bbkEngine) faultStep(site string) {
-	if e.hook == nil {
-		return
-	}
-	if err := e.hook(site); err != nil {
-		e.stop.Fail(tle.MemoryExceeded)
-	}
+	e.stop.Site(e.hook, site)
 }
 
 // runBBK drives the engine under panic isolation, mirroring runMBEA: a

@@ -120,15 +120,11 @@ type gmbeWarp struct {
 	th    *twoHop
 }
 
-// faultStep fires the injection hook at site; an error degrades the run
-// like a blown memory budget.
+// faultStep runs the injection hook at site (tle.Stopper.Site): an error
+// degrades the run like a blown memory budget, and under a hook the site
+// polls the stop conditions.
 func (e *gmbeWarp) faultStep(site string) {
-	if e.hook == nil {
-		return
-	}
-	if err := e.hook(site); err != nil {
-		e.stop.Fail(tle.MemoryExceeded)
-	}
+	e.stop.Site(e.hook, site)
 }
 
 func newGMBEWarp(g *graph.Bipartite, handler core.Handler, opts Options, shared *tle.Shared) *gmbeWarp {

@@ -37,15 +37,11 @@ type mbeaEngine struct {
 	ids     vset.Slab[int32]
 }
 
-// faultStep fires the injection hook at site; a returned error is treated
-// as a failed allocation and degrades the run like a blown memory budget.
+// faultStep runs the injection hook at site (tle.Stopper.Site): an error
+// degrades the run like a blown memory budget, and under a hook the site
+// polls the stop conditions.
 func (e *mbeaEngine) faultStep(site string) {
-	if e.hook == nil {
-		return
-	}
-	if err := e.hook(site); err != nil {
-		e.stop.Fail(tle.MemoryExceeded)
-	}
+	e.stop.Site(e.hook, site)
 }
 
 // runMBEA drives the serial skeleton under panic isolation: a panic

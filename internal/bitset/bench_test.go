@@ -36,14 +36,44 @@ func benchFixture(stride int) (q, ms []uint64) {
 
 func strideName(stride int) string { return fmt.Sprintf("words=%d", stride) }
 
-func BenchmarkStrideFilterAnd(b *testing.B) {
+// BenchmarkStrideColumnCheck is the maximality check of the bitwise
+// procedure: benchMasks stride-word masks transposed into a column table,
+// every index in the excluded set, and a query that no mask contains, so
+// the check runs until the intersection empties (the maximal-node case).
+func BenchmarkStrideColumnCheck(b *testing.B) {
 	for _, stride := range benchStrides {
 		b.Run(strideName(stride), func(b *testing.B) {
 			q, ms := benchFixture(stride)
-			dst := make([]uint64, len(ms))
+			cw := WordsFor(benchMasks)
+			cols := make([]uint64, 64*stride*cw)
+			Transpose(cols, cw, ms, stride, 0)
+			base := make([]uint64, cw)
+			for k := range base {
+				base[k] = ^uint64(0)
+			}
+			scratch := make([]uint64, cw)
 			b.SetBytes(int64(8 * len(ms)))
 			for i := 0; i < b.N; i++ {
-				FilterAnd(dst, q, ms, stride)
+				if found, _ := SupersetIn(scratch, base, cols, cw, q); found {
+					b.Fatal("a random mask contains the half-dense query")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkStrideTranspose is the once-per-bitmap cost of building the
+// column table from benchMasks masks.
+func BenchmarkStrideTranspose(b *testing.B) {
+	for _, stride := range benchStrides {
+		b.Run(strideName(stride), func(b *testing.B) {
+			_, ms := benchFixture(stride)
+			cw := WordsFor(benchMasks)
+			cols := make([]uint64, 64*stride*cw)
+			b.SetBytes(int64(8 * len(ms)))
+			for i := 0; i < b.N; i++ {
+				clear(cols)
+				Transpose(cols, cw, ms, stride, 0)
 			}
 		})
 	}

@@ -4,12 +4,11 @@ import "math/bits"
 
 // Contiguous-stride mask kernels.
 //
-// The bitwise procedure (internal/core's searchBitPacked) carries every mask
-// by value: a block of n masks is n*stride contiguous words, each mask
-// already ANDed with the parent's L, and a mask that LN's node-pruning rule
-// removed is all-zero. The enumeration hot loops compare one query mask q
-// (L_q) against a whole block: check maximality against the excluded masks
-// while building the child's excluded block, split the remaining
+// The bitwise procedure (internal/core's searchBitPacked) carries every
+// candidate mask by value: a block of n masks is n*stride contiguous words,
+// each mask already ANDed with the parent's L, and a mask that LN's
+// node-pruning rule removed is all-zero. The enumeration hot loops compare
+// one query mask q (L_q) against a whole block: split the remaining
 // candidates into R_q / C_q, prune the candidates q subsumes. Each kernel
 // below answers one of those in a single pass over the block, with q's
 // words hoisted into registers once per call.
@@ -20,85 +19,73 @@ import "math/bits"
 // (one-word masks run in core's scalar searchBit1 instead). An all-zero
 // mask is disjoint from every q, so each kernel drops or skips it like any
 // other disjoint mask; no separate "pruned" marker exists.
+//
+// The maximality check does not scan masks at all. Transpose turns a
+// bitmap's rows (one mask per vertex) into a column table (one set of
+// vertex indices per mask bit) once per bitmap, and SupersetIn then asks
+// "does some excluded vertex's mask contain q" with one AND per bit of q
+// over an index set, instead of one AND per excluded mask.
 
 // SmallStrideMax is the widest mask stride (in 64-bit words) with a
 // dedicated unrolled kernel; τ up to 64*SmallStrideMax stays on it.
 const SmallStrideMax = 4
 
-// FilterAnd is the maximality check of the bitwise procedure fused with
-// building the child's excluded block. It walks the stride-word masks of
-// ms in order and stops at the first one containing every bit of q (the
-// violation q ⊆ m), returning its index as at; after a full pass at is -1.
-// Until then it writes q AND m into dst, packed at the same stride and in
-// order, for every mask m that overlaps q, and n counts the masks written:
-// the excluded block pre-ANDed with the child's L, empty intersections
-// dropped. len(q) == stride; len(ms) is a multiple of stride and len(dst)
-// >= len(ms).
-func FilterAnd(dst, q, ms []uint64, stride int) (n, at int) {
-	nm := len(ms) / stride
-	switch stride {
-	case 2:
-		q0, q1 := q[0], q[1]
-		for k := 0; k < nm; k++ {
-			m := ms[2*k : 2*k+2 : 2*k+2]
-			a0, a1 := q0&m[0], q1&m[1]
-			if a0 == q0 && a1 == q1 {
-				return n, k
-			}
-			if a0|a1 != 0 {
-				d := dst[2*n : 2*n+2 : 2*n+2]
-				d[0], d[1] = a0, a1
-				n++
+// Transpose adds the stride-word masks of rows, as vertex indices first,
+// first+1, …, to the column table cols: for every bit b set in the k-th
+// mask it sets bit first+k of column b, the cw words cols[b*cw:(b+1)*cw].
+// cols must hold a column for every bit any mask sets, each wide enough for
+// index first+len(rows)/stride-1; columns are ORed into, not cleared.
+func Transpose(cols []uint64, cw int, rows []uint64, stride, first int) {
+	k := first
+	for r := 0; r < len(rows); r += stride {
+		word, bit := k>>logWord, uint64(1)<<(uint(k)&wordMask)
+		for wi, w := range rows[r : r+stride] {
+			for ; w != 0; w &= w - 1 {
+				cols[((wi<<logWord)+bits.TrailingZeros64(w))*cw+word] |= bit
 			}
 		}
-	case 3:
-		q0, q1, q2 := q[0], q[1], q[2]
-		for k := 0; k < nm; k++ {
-			m := ms[3*k : 3*k+3 : 3*k+3]
-			a0, a1, a2 := q0&m[0], q1&m[1], q2&m[2]
-			if a0 == q0 && a1 == q1 && a2 == q2 {
-				return n, k
+		k++
+	}
+}
+
+// SupersetIn reports whether some vertex index in the set base (cw words)
+// has a mask containing every bit of q, given the column table cols built
+// by Transpose: it intersects base with column b for each b ∈ q, in bit
+// order, narrowing to the live word range after each AND and stopping as
+// soon as nothing is left. It returns the number of column ANDs it ran (0
+// for an empty base). base is not modified; scratch holds cw words. An
+// empty q is contained in every mask, so it reports whether base is
+// non-empty.
+func SupersetIn(scratch, base, cols []uint64, cw int, q []uint64) (found bool, ands int) {
+	lo, hi := 0, cw
+	for lo < hi && base[lo] == 0 {
+		lo++
+	}
+	for hi > lo && base[hi-1] == 0 {
+		hi--
+	}
+	src := base
+	t := scratch[:cw]
+	for wi, qw := range q {
+		for ; qw != 0; qw &= qw - 1 {
+			if lo == hi {
+				return false, ands
 			}
-			if a0|a1|a2 != 0 {
-				d := dst[3*n : 3*n+3 : 3*n+3]
-				d[0], d[1], d[2] = a0, a1, a2
-				n++
+			col := cols[((wi<<logWord)+bits.TrailingZeros64(qw))*cw:][:cw]
+			ands++
+			for k := lo; k < hi; k++ {
+				t[k] = src[k] & col[k]
 			}
-		}
-	case 4:
-		q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
-		for k := 0; k < nm; k++ {
-			m := ms[4*k : 4*k+4 : 4*k+4]
-			a0, a1, a2, a3 := q0&m[0], q1&m[1], q2&m[2], q3&m[3]
-			if a0 == q0 && a1 == q1 && a2 == q2 && a3 == q3 {
-				return n, k
+			src = t
+			for lo < hi && t[lo] == 0 {
+				lo++
 			}
-			if a0|a1|a2|a3 != 0 {
-				d := dst[4*n : 4*n+4 : 4*n+4]
-				d[0], d[1], d[2], d[3] = a0, a1, a2, a3
-				n++
-			}
-		}
-	default:
-		for k := 0; k < nm; k++ {
-			m := ms[k*stride : (k+1)*stride]
-			d := dst[n*stride : (n+1)*stride]
-			var any, qOut uint64
-			for w, mw := range m {
-				a := q[w] & mw
-				d[w] = a
-				any |= a
-				qOut |= q[w] ^ a
-			}
-			if qOut == 0 {
-				return n, k
-			}
-			if any != 0 {
-				n++
+			for hi > lo && t[hi-1] == 0 {
+				hi--
 			}
 		}
 	}
-	return n, -1
+	return lo < hi, ands
 }
 
 // Classify splits the candidate block ms (ids[k] names the k-th mask m)

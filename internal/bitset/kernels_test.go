@@ -70,7 +70,7 @@ func refMask(r refSet, stride int) []uint64 {
 func TestStrideKernelsAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, stride := range kernelStrides {
-		var reached [4]int // pruned, sup, part, filtered over all trials
+		var reached [3]int // pruned, sup, part over all trials
 		for trial := 0; trial < 40; trial++ {
 			const nMasks = 40
 			q, qRef, ms, refs := blockFixture(rng, stride, nMasks, []float64{0.05, 0.3, 0.8}[trial%3])
@@ -78,43 +78,6 @@ func TestStrideKernelsAgainstOracle(t *testing.T) {
 			for k := range ids {
 				ids[k] = int32(100 + k)
 			}
-
-			// FilterAnd: order-preserving q AND m for overlapping masks, up
-			// to the first mask containing q (whose index it reports).
-			wantAt := -1
-			var wantFilt []uint64
-			for k, r := range refs {
-				if qRef.subsetOf(r) {
-					wantAt = k
-					break
-				}
-				if a := qRef.and(r); a.popcount() != 0 {
-					wantFilt = append(wantFilt, refMask(a, stride)...)
-				}
-			}
-			dst := make([]uint64, len(ms))
-			n, at := FilterAnd(dst, q, ms, stride)
-			if at != wantAt || !slices.Equal(dst[:n*stride], wantFilt) {
-				t.Fatalf("stride %d: FilterAnd = (%d masks, at %d), want (%d, %d) or contents differ",
-					stride, n, at, len(wantFilt)/stride, wantAt)
-			}
-			// The same block without its supersets of q is a full pass.
-			var noSup []uint64
-			wantFilt = wantFilt[:0]
-			for k, r := range refs {
-				if !qRef.subsetOf(r) {
-					noSup = append(noSup, ms[k*stride:(k+1)*stride]...)
-					if a := qRef.and(r); a.popcount() != 0 {
-						wantFilt = append(wantFilt, refMask(a, stride)...)
-					}
-				}
-			}
-			n, at = FilterAnd(dst, q, noSup, stride)
-			if at != -1 || !slices.Equal(dst[:n*stride], wantFilt) {
-				t.Fatalf("stride %d: full-pass FilterAnd = (%d masks, at %d), want (%d, -1) or contents differ",
-					stride, n, at, len(wantFilt)/stride)
-			}
-			reached[3] += n
 
 			// Classify, without and with pruning, on copies of the block.
 			var wantSup, wantPart []int32
@@ -169,26 +132,19 @@ func TestStrideKernelsAgainstOracle(t *testing.T) {
 			reached[2] += len(wantPart)
 		}
 		if slices.Contains(reached[:], 0) {
-			t.Fatalf("stride %d: fixtures reach too few branches (pruned, sup, part, filtered) = %v", stride, reached)
+			t.Fatalf("stride %d: fixtures reach too few branches (pruned, sup, part) = %v", stride, reached)
 		}
 	}
 }
 
-// TestStrideKernelsEmptyQuery pins the degenerate query q = ∅: it is a
-// subset of every mask (FilterAnd stops at the first one; a full pass only
-// over an empty block), it overlaps none (Classify keeps nothing), and
-// only the empty mask is its subset (nothing is pruned).
+// TestStrideKernelsEmptyQuery pins the degenerate query q = ∅: it overlaps
+// no mask (Classify keeps nothing), and only the empty mask is its subset
+// (nothing is pruned).
 func TestStrideKernelsEmptyQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, stride := range kernelStrides {
 		_, _, ms, _ := blockFixture(rng, stride, 6, 0.3)
 		q := make([]uint64, stride)
-		if n, at := FilterAnd(make([]uint64, len(ms)), q, ms, stride); n != 0 || at != 0 {
-			t.Fatalf("stride %d: empty query should stop at the first mask, got (%d, %d)", stride, n, at)
-		}
-		if n, at := FilterAnd(nil, q, nil, stride); n != 0 || at != -1 {
-			t.Fatalf("stride %d: empty block should be a full pass, got (%d, %d)", stride, n, at)
-		}
 		ids := make([]int32, 6)
 		block := slices.Clone(ms)
 		ns, np, nz := Classify(q, block, stride, ids, make([]int32, 6), make([]int32, 6), make([]uint64, len(ms)), true)
@@ -208,9 +164,6 @@ func TestStrideKernelsSkipZeroMasks(t *testing.T) {
 		q := make([]uint64, stride)
 		q[0] = 0b1011
 		ms := make([]uint64, 2*stride)
-		if n, at := FilterAnd(make([]uint64, len(ms)), q, ms, stride); n != 0 || at != -1 {
-			t.Fatalf("stride %d: FilterAnd on zero masks = (%d, %d), want (0, -1)", stride, n, at)
-		}
 		ns, np, nz := Classify(q, ms, stride, []int32{1, 2}, make([]int32, 2), make([]int32, 2), make([]uint64, len(ms)), true)
 		if ns != 0 || np != 0 || nz != 0 {
 			t.Fatalf("stride %d: Classify on zero masks = (%d, %d, %d)", stride, ns, np, nz)
@@ -237,6 +190,49 @@ func TestMaskAndCountAgainstOracle(t *testing.T) {
 			if got2 := dst.Count(); got2 != want.popcount() {
 				t.Fatalf("width %d: MaskAndCount dst has %d bits, want %d", width, got2, want.popcount())
 			}
+		}
+	}
+}
+
+// TestTransposeColumns checks that every row bit lands in its column,
+// rows numbered from an offset, at every kernel stride and at column
+// widths on both sides of a word boundary.
+func TestTransposeColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, stride := range kernelStrides {
+		for _, n := range []int{1, 63, 64, 65, 129} {
+			const first = 3
+			_, _, rows, refs := blockFixture(rng, stride, n, 0.3)
+			cw := WordsFor(first + n)
+			cols := make([]uint64, 64*stride*cw)
+			Transpose(cols, cw, rows, stride, first)
+			for b := 0; b < 64*stride; b++ {
+				col := Mask(cols[b*cw : (b+1)*cw])
+				for k := 0; k < first+n; k++ {
+					want := k >= first && refs[k-first][b]
+					if col.Has(k) != want {
+						t.Fatalf("stride %d n=%d: column %d index %d = %v, want %v", stride, n, b, k, col.Has(k), want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSupersetInEmptyQuery pins the degenerate query q = ∅, which every
+// mask contains: SupersetIn reports whether the index set is non-empty
+// and runs no column AND.
+func TestSupersetInEmptyQuery(t *testing.T) {
+	for _, cw := range []int{1, 2, 3} {
+		cols := make([]uint64, 64*cw)
+		base := make([]uint64, cw)
+		q := make([]uint64, 2)
+		if found, ands := SupersetIn(make([]uint64, cw), base, cols, cw, q); found || ands != 0 {
+			t.Fatalf("cw %d: empty set = (%v, %d)", cw, found, ands)
+		}
+		base[cw-1] = 1 << 63
+		if found, ands := SupersetIn(make([]uint64, cw), base, cols, cw, q); !found || ands != 0 {
+			t.Fatalf("cw %d: non-empty set = (%v, %d)", cw, found, ands)
 		}
 	}
 }

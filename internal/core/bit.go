@@ -18,12 +18,24 @@ import (
 // then carries by value down the subtree. Bitmap subtrees never nest, so
 // each engine owns a single bitCG whose storage is recycled across
 // creations (reset), keeping steady-state enumeration allocation-free.
+//
+// The maximality check runs on a column index of the searched bitmap: the
+// searched vertices get indices 0..n-1, candidates before excluded
+// vertices, and cols holds, for each L* bit, the set of indices whose mask
+// has that bit. A node's excluded set is then one cw-word index set, and
+// "some excluded vertex contains L_q" is at most |L_q| ANDs of that set
+// with columns.
 type bitCG struct {
 	width int      // words per mask (⌈|L*|/64⌉)
 	lids  []int32  // bit position → U id (sorted; equals L*)
 	vids  []int32  // CG-local index → V id
 	masks []uint64 // len(vids)*width packed masks
 	nCand int      // vids[0:nCand] are the creation node's candidates
+
+	cw      int      // words per column: ⌈n/64⌉ for the n searched vertices
+	cols    []uint64 // len(lids)*cw: column b is cols[b*cw:(b+1)*cw]
+	scratch []uint64 // cw words for bitset.SupersetIn
+	cand    []int32  // index → V id for the searched candidates
 
 	// charge, if non-nil, accounts retained-capacity growth (bytes) to the
 	// run's memory gauge.
@@ -42,14 +54,51 @@ func (cg *bitCG) reset(width int, lids []int32, nMasks int) {
 	cg.width = width
 	cg.lids = lids
 	cg.vids = cg.vids[:0]
-	need := nMasks * width
-	if cap(cg.masks) < need {
-		cg.charged(cap(cg.masks), need)
-		cg.masks = make([]uint64, need)
-	} else {
-		cg.masks = cg.masks[:need]
-		clear(cg.masks)
+	cg.masks = cg.zeroed(cg.masks, nMasks*width)
+}
+
+// zeroed returns buf resized to n zeroed words. When its capacity is
+// short it reallocates at least doubling it, so a run whose bitmaps keep
+// growing reallocates a logarithmic number of times, and charges the
+// growth.
+func (cg *bitCG) zeroed(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		grown := make([]uint64, n, max(n, 2*cap(buf)))
+		cg.charged(cap(buf), cap(grown))
+		return grown
 	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// indexCols builds the column index of a bitmap about to be searched from
+// its rows: the candidates cand with masks cm take indices
+// 0..len(cand)-1 and the excluded masks xm the indices after them, and the
+// table and the check scratch are sized for them. It returns the
+// candidates' index list, carved from ids, and the search root's excluded
+// set — every excluded mask's index — carved from words.
+func (cg *bitCG) indexCols(cand []int32, cm, xm []uint64, ids *slab[int32], words *slab[uint64]) (idx []int32, xs []uint64) {
+	nc, n := len(cand), len(cand)+len(xm)/cg.width
+	cg.cw = bitset.WordsFor(n)
+	cg.cols = cg.zeroed(cg.cols, len(cg.lids)*cg.cw)
+	cg.scratch = cg.zeroed(cg.scratch, cg.cw)
+	cg.cand = cand
+	bitset.Transpose(cg.cols, cg.cw, cm, cg.width, 0)
+	bitset.Transpose(cg.cols, cg.cw, xm, cg.width, nc)
+	idx = ids.Alloc(nc)
+	for k := range idx {
+		idx[k] = int32(k)
+	}
+	xs = words.Alloc(cg.cw)
+	clear(xs)
+	for k := nc; k < n; {
+		word, bit := k>>6, uint(k)&63
+		span := min(64-int(bit), n-k)
+		xs[word] |= (^uint64(0) >> (64 - uint(span))) << bit
+		k += span
+	}
+	return idx, xs
 }
 
 // growMask appends storage for one more zeroed mask (global builder path).
@@ -200,62 +249,78 @@ func (e *engine) searchBitRoot(cg *bitCG, R []int32) {
 	e.searchBitNode(cg, R, cg.vids[:cg.nCand], cg.masks[:split], cg.masks[split:])
 }
 
-// searchBitNode runs the bitwise procedure from a bitmap node: cand and cm
-// are its candidates and their masks, xm its excluded masks, and cg
-// supplies the mask width and L* (for emission). Every builder and every
-// detached bitmap task enters here, so a promotion, its bitmap and the
-// SiteBitmap fault site are recorded once per bitmap that is searched.
-// One-word CGs (|L*| ≤ 64) dispatch to the scalar specialization
-// searchBit1, realizing the paper's "each set intersection is a single
-// bitwise AND between two 64-bit integers"; wider masks (unrolled kernels
-// up to 64·bitset.SmallStrideMax bits, a generic word loop beyond) run
-// searchBitPacked.
+// searchBitNode runs the bitwise procedure from a bitmap node given as
+// rows: cand and cm are its candidates and their masks, xm its excluded
+// masks, and cg supplies the mask width and L* (for emission). It builds
+// the column index of the maximality check from the rows (indexCols).
+// Every builder and every detached bitmap task enters here, so a
+// promotion, its bitmap and the SiteBitmap fault site are recorded once per
+// bitmap that is searched. One-word CGs (|L*| ≤ 64) dispatch to the scalar
+// specialization searchBit1, realizing the paper's "each set intersection
+// is a single bitwise AND between two 64-bit integers"; wider masks
+// (unrolled kernels up to 64·bitset.SmallStrideMax bits, a generic word
+// loop beyond) run searchBitPacked.
 func (e *engine) searchBitNode(cg *bitCG, R, cand []int32, cm, xm []uint64) {
 	e.notePromotion()
 	e.faultStep(SiteBitmap)
 	e.observeBitmap(cg.width)
 	reg := obs.TraceRegion("mbe/bit-subtree")
 	t0, timed := e.enterSmallTimer(len(cg.lids))
+	idMark, wordMark := e.ids.Mark(), e.words.Mark()
+	idx, xs := cg.indexCols(cand, cm, xm, &e.ids, &e.words)
 	if cg.width == 1 {
-		e.searchBit1(cg, R, cand, cm, xm)
+		e.searchBit1(cg, R, idx, cm, xs)
 	} else {
-		e.searchBitPacked(cg, R, cand, cm, xm)
+		e.searchBitPacked(cg, R, idx, cm, xs)
 	}
+	e.ids.Release(idMark)
+	e.words.Release(wordMark)
 	e.exitSmallTimer(t0, timed)
 	reg.End()
 }
 
 // searchBit1 is the bitwise procedure specialized to one-word masks, with
-// every mask carried by value rather than gathered through a CG index:
-// cand holds the candidates' V ids and cm their masks (parallel arrays),
-// xm the excluded set's masks (excluded ids are never read). Every mask
-// arrives already ANDed with this node's L, so a candidate's mask is its
-// child's L_q. Set intersection is a single AND, the subset test a single
-// AND+CMP, and L_q lives in a register. Each child receives its candidate
-// and excluded masks already ANDed with its L_q and filtered to the
-// non-empty ones, so its loops stream contiguous words from e.words.
-// Because L_child ⊆ L_q, the pre-ANDed masks answer every later AND and
-// subset test exactly as the raw ones would.
+// every candidate mask carried by value: cand holds the candidates' column
+// indices (cg.cand maps them to V ids) and cm their masks (parallel
+// arrays), xs the node's excluded set as a cg.cw-word set of column
+// indices. Every mask arrives already ANDed with this node's L, so a
+// candidate's mask is its child's L_q. Set intersection is a single AND,
+// the subset test a single AND+CMP, and L_q lives in a register.
+//
+// The maximality check asks whether some excluded vertex's mask contains
+// L_q: the CG's excluded vertices and every candidate already traversed
+// here or at an ancestor, which is xs once each traversed candidate's index
+// is added to it. bitset.SupersetIn answers it with one AND of xs against
+// the column of each bit of L_q, stopping as soon as the set is empty. A
+// maximal child inherits a copy of xs; excluded vertices disjoint from its
+// L_q stay in it and drop out at its first column AND.
 //
 // With Variant == Ada the procedure also applies LN's node-pruning rule
 // (§III-A, rule 3; Algorithm 2 lines 14-15): a later candidate whose mask
 // lies inside L_q has N_q(v_c) = N_p(v_c), so the node it would generate
 // here duplicates one in L_q's subtree, and its mask is zeroed in place.
-// The candidate loop skips zero masks and every filter drops them as
-// disjoint. A maximal child prunes in its classify pass, after classifying
-// the candidate into its own R_q / C_q; a non-maximal child prunes in a
-// separate sweep. The bitwise tree is then exactly LN's. The BIT-alone
-// variant never prunes, matching the paper's Fig. 10 ablation.
-func (e *engine) searchBit1(cg *bitCG, R []int32, cand []int32, cm, xm []uint64) {
+// The candidate loop skips zero masks, and a pruned candidate never joins
+// xs: any L_q its mask contains, the mask of the traversed candidate that
+// pruned it contains too. A maximal child prunes in its classify
+// pass, after classifying the candidate into its own R_q / C_q; a
+// non-maximal child prunes in a separate sweep. The bitwise tree is then
+// exactly LN's. The BIT-alone variant never prunes, matching the paper's
+// Fig. 10 ablation.
+func (e *engine) searchBit1(cg *bitCG, R []int32, cand []int32, cm, xs []uint64) {
 	if e.stop.Stopped() {
 		return
 	}
 	prune := e.variant == Ada
+	prev := int32(-1) // index of the last traversed candidate, not yet in xs
 	for i := 0; i < len(cand); i++ {
 		lq := cm[i]
 		if lq == 0 { // pruned at this node
 			continue
 		}
+		if prev >= 0 {
+			xs[prev>>6] |= 1 << (uint(prev) & 63)
+		}
+		prev = cand[i]
 		if e.stop.Hit() {
 			return
 		}
@@ -266,44 +331,14 @@ func (e *engine) searchBit1(cg *bitCG, R []int32, cand []int32, cm, xm []uint64)
 			continue
 		}
 
-		// Node check against the excluded set and the traversed prefix,
-		// fused with building the child's excluded set as LN does: each
-		// mask ANDed with L_q and kept if non-empty, until one contains
-		// L_q. SetIntersections counts one op per mask inspected. One
-		// words block holds the child excluded set's and C_q's masks.
+		covered, ands := bitset.SupersetIn(cg.scratch, xs, cg.cols, cg.cw, cm[i:i+1])
 		rem := len(cand) - i - 1
-		wordMark := e.words.Mark()
-		words := e.words.Alloc(len(xm) + i + rem)
-		xq, cqm := words[:len(xm)+i], words[len(xm)+i:]
-		maximal := true
-		nx, at := filterAnd1(xq, lq, xm)
-		if at >= 0 {
-			maximal = false
-			if e.collect {
-				e.metrics.SetIntersections += int64(at + 1)
-			}
-		} else {
-			if e.collect {
-				e.metrics.SetIntersections += int64(len(xm))
-			}
-			var n int
-			n, at = filterAnd1(xq[nx:], lq, cm[:i])
-			nx += n
-			if at >= 0 {
-				maximal = false
-				if e.collect {
-					e.metrics.SetIntersections += int64(at + 1)
-				}
-			} else if e.collect {
-				e.metrics.SetIntersections += int64(i)
-			}
-		}
 		e.probe.NodeBit()
 		if e.collect {
+			e.metrics.SetIntersections += int64(ands)
 			e.metrics.NodesGenerated++
 		}
-		if !maximal {
-			e.words.Release(wordMark)
+		if covered {
 			if e.collect {
 				e.metrics.NodesNonMaximal++
 			}
@@ -323,13 +358,16 @@ func (e *engine) searchBit1(cg *bitCG, R []int32, cand []int32, cm, xm []uint64)
 			continue
 		}
 
-		// Node generation: one ids block for R_q and C_q's ids.
-		idMark := e.ids.Mark()
+		// Node generation: one ids block for R_q and C_q's indices, one
+		// words block for C_q's masks and the child's excluded set.
+		idMark, wordMark := e.ids.Mark(), e.words.Mark()
 		nrCap := len(R) + 1 + rem
 		ids := e.ids.Alloc(nrCap + rem)
 		rq, cq := ids[:nrCap], ids[nrCap:]
+		words := e.words.Alloc(rem + cg.cw)
+		cqm, xq := words[:rem], words[rem:]
 		nr := copy(rq, R)
-		rq[nr] = cand[i]
+		rq[nr] = cg.cand[cand[i]]
 		nr++
 		nc, np := 0, 0
 		for j := i + 1; j < len(cand); j++ {
@@ -339,7 +377,7 @@ func (e *engine) searchBit1(cg *bitCG, R []int32, cand []int32, cm, xm []uint64)
 				continue
 			}
 			if and == lq { // lq ⊆ mask(cand[j])
-				rq[nr] = cand[j]
+				rq[nr] = cg.cand[cand[j]]
 				nr++
 			} else {
 				cq[nc] = cand[j]
@@ -360,29 +398,12 @@ func (e *engine) searchBit1(cg *bitCG, R []int32, cand []int32, cm, xm []uint64)
 		}
 		e.emitBit1(cg, lq, rq[:nr])
 		if nc > 0 && (e.skipSubtree == nil || !e.skipSubtree(bits.OnesCount64(lq), nr, nc)) {
-			e.searchBit1(cg, rq[:nr], cq[:nc], cqm[:nc], xq[:nx])
+			copy(xq, xs)
+			e.searchBit1(cg, rq[:nr], cq[:nc], cqm[:nc], xq)
 		}
 		e.words.Release(wordMark)
 		e.ids.Release(idMark)
 	}
-}
-
-// filterAnd1 is bitset.FilterAnd for one-word masks: it writes lq AND x
-// into dst for every x in xs that overlaps lq, stopping at the first x
-// that contains lq. It returns the count written and that x's index, or
-// -1 after a full pass.
-func filterAnd1(dst []uint64, lq uint64, xs []uint64) (n, at int) {
-	for k, x := range xs {
-		and := lq & x
-		if and == lq {
-			return n, k
-		}
-		if and != 0 {
-			dst[n] = and
-			n++
-		}
-	}
-	return n, -1
 }
 
 // emitBit1 is emitBit for one-word L masks.
@@ -404,27 +425,30 @@ func (e *engine) emitBit1(cg *bitCG, lq uint64, R []int32) {
 }
 
 // searchBitPacked is searchBit1 for multi-word masks, with the same
-// by-value layout and the same pruning: cm holds the candidates' masks
-// contiguously, cg.width words each, in the order of cand, and xm the
-// excluded masks. Each phase of a node runs as one internal/bitset kernel
-// call over a contiguous block: FilterAnd sweeps the excluded set and the
-// traversed prefix for the maximality check while building the child
-// excluded block, Classify splits the remaining candidates into R_q / C_q
-// (and prunes under Ada), and PruneSubsets is the non-maximal child's
-// pruning sweep. Each call hoists L_q's words into registers once and
-// dispatches once on the width, so τ ∈ (64, 256] stays on unrolled 2–4-word
-// inner loops.
-func (e *engine) searchBitPacked(cg *bitCG, R []int32, cand []int32, cm, xm []uint64) {
+// by-value layout, the same column-index maximality check and the same
+// pruning: cm holds the candidates' masks contiguously, cg.width words
+// each, in the order of cand. Each phase of a node runs as one
+// internal/bitset kernel call: SupersetIn is the maximality check,
+// Classify splits the remaining candidates into R_q / C_q (and prunes under
+// Ada), and PruneSubsets is the non-maximal child's pruning sweep. The last
+// two hoist L_q's words into registers once and dispatch once on the width,
+// so τ ∈ (64, 256] stays on unrolled 2–4-word inner loops.
+func (e *engine) searchBitPacked(cg *bitCG, R []int32, cand []int32, cm, xs []uint64) {
 	if e.stop.Stopped() {
 		return
 	}
 	w := cg.width
 	prune := e.variant == Ada
+	prev := int32(-1) // index of the last traversed candidate, not yet in xs
 	for i := 0; i < len(cand); i++ {
 		lq := bitset.Mask(cm[i*w : (i+1)*w])
 		if lq.Zero() { // pruned at this node
 			continue
 		}
+		if prev >= 0 {
+			xs[prev>>6] |= 1 << (uint(prev) & 63)
+		}
+		prev = cand[i]
 		if e.stop.Hit() {
 			return
 		}
@@ -435,40 +459,15 @@ func (e *engine) searchBitPacked(cg *bitCG, R []int32, cand []int32, cm, xm []ui
 			continue
 		}
 
+		covered, ands := bitset.SupersetIn(cg.scratch, xs, cg.cols, cg.cw, lq)
 		rem := len(cand) - i - 1
 		rest := cm[(i+1)*w:]
-		wordMark := e.words.Mark()
-		words := e.words.Alloc(len(xm) + i*w + len(rest))
-		xq, cqm := words[:len(xm)+i*w], words[len(xm)+i*w:]
-		maximal := true
-		nx, at := bitset.FilterAnd(xq, lq, xm, w)
-		if at >= 0 {
-			maximal = false
-			if e.collect {
-				e.metrics.SetIntersections += int64(at + 1)
-			}
-		} else {
-			if e.collect {
-				e.metrics.SetIntersections += int64(len(xm) / w)
-			}
-			var n int
-			n, at = bitset.FilterAnd(xq[nx*w:], lq, cm[:i*w], w)
-			nx += n
-			if at >= 0 {
-				maximal = false
-				if e.collect {
-					e.metrics.SetIntersections += int64(at + 1)
-				}
-			} else if e.collect {
-				e.metrics.SetIntersections += int64(i)
-			}
-		}
 		e.probe.NodeBit()
 		if e.collect {
+			e.metrics.SetIntersections += int64(ands)
 			e.metrics.NodesGenerated++
 		}
-		if !maximal {
-			e.words.Release(wordMark)
+		if covered {
 			if e.collect {
 				e.metrics.NodesNonMaximal++
 			}
@@ -482,14 +481,19 @@ func (e *engine) searchBitPacked(cg *bitCG, R []int32, cand []int32, cm, xm []ui
 			continue
 		}
 
-		idMark := e.ids.Mark()
+		idMark, wordMark := e.ids.Mark(), e.words.Mark()
 		nrCap := len(R) + 1 + rem
 		ids := e.ids.Alloc(nrCap + rem)
 		rq, cq := ids[:nrCap], ids[nrCap:]
+		words := e.words.Alloc(len(rest) + cg.cw)
+		cqm, xq := words[:len(rest)], words[len(rest):]
 		nr := copy(rq, R)
-		rq[nr] = cand[i]
+		rq[nr] = cg.cand[cand[i]]
 		nr++
 		ns, nc, np := bitset.Classify(lq, rest, w, cand[i+1:], rq[nr:], cq, cqm, prune)
+		for k, c := range rq[nr : nr+ns] { // Classify copied indices
+			rq[nr+k] = cg.cand[c]
+		}
 		nr += ns
 
 		if e.collect {
@@ -500,7 +504,8 @@ func (e *engine) searchBitPacked(cg *bitCG, R []int32, cand []int32, cm, xm []ui
 		}
 		e.emitBit(cg, lq, rq[:nr])
 		if nc > 0 && (e.skipSubtree == nil || !e.skipSubtree(lq.Count(), nr, nc)) {
-			e.searchBitPacked(cg, rq[:nr], cq[:nc], cqm[:nc*w], xq[:nx*w])
+			copy(xq, xs)
+			e.searchBitPacked(cg, rq[:nr], cq[:nc], cqm[:nc*w], xq)
 		}
 		e.words.Release(wordMark)
 		e.ids.Release(idMark)

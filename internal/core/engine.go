@@ -59,8 +59,9 @@ type engine struct {
 
 	ids  slab[int32]   // vertex-id and offset scratch
 	hdrs slab[[]int32] // slice-header scratch for local-neighborhood lists
-	// words holds the bitmap procedure's by-value candidate and excluded
-	// masks (see searchBit1); marked and released together with ids.
+	// words holds the bitmap procedure's by-value candidate masks and
+	// excluded index sets (see searchBit1); marked and released together
+	// with ids.
 	words slab[uint64]
 
 	// Epoch-stamped scratch maps (see stamp.go semantics below): value is
@@ -147,17 +148,13 @@ func newEngine(g *graph.Bipartite, opts Options, shared *tle.Shared, wid int) *e
 // memory budget.
 func (e *engine) chargeMem(bytes int64) { e.stop.AddMem(bytes) }
 
-// faultStep runs the test-only fault hook at an instrumentation site. An
-// injected allocation failure degrades the worker exactly like an
-// exhausted memory budget; injected panics propagate into the engine's
+// faultStep runs the test-only fault hook at an instrumentation site
+// (tle.Stopper.Site). An injected allocation failure degrades the worker
+// exactly like an exhausted memory budget, and under a hook every site
+// polls the stop conditions; injected panics propagate into the engine's
 // panic-isolation path.
 func (e *engine) faultStep(site string) {
-	if e.hook == nil {
-		return
-	}
-	if err := e.hook(site); err != nil {
-		e.stop.Fail(tle.MemoryExceeded)
-	}
+	e.stop.Site(e.hook, site)
 }
 
 // run executes the configured variant from the root node (U, ∅, V).

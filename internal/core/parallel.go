@@ -295,10 +295,10 @@ func enumerateParallel(g *graph.Bipartite, opts Options, shared *tle.Shared) (Re
 				// runTask has returned, so every reference the task's defers
 				// held (frontier report, gauge release) is dead; searchLN and
 				// the bitwise procedure do not retain their argument slices
-				// (e.cg.lids still points at a bitmap node's L, but nothing
-				// reads it before the next bitmap replaces it), and spawn
-				// deep-copies into a fresh node, so the shell and its backing
-				// buffers are free to reuse. The root marker recycles
+				// (e.cg.lids and e.cg.cand still point at a bitmap node's L
+				// and candIDs, but nothing reads them before the next bitmap
+				// replaces them), and spawn deep-copies into a fresh node, so
+				// the shell and its backing buffers are free to reuse. The root marker recycles
 				// harmlessly (empty buffers).
 				arena.recycle(n)
 			}

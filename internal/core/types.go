@@ -153,8 +153,10 @@ type Options struct {
 	// (the Site* constants). A returned error simulates an allocation
 	// failure: the worker degrades exactly as if the memory budget were
 	// exhausted. Panics from the hook exercise the panic-isolation path.
-	// Test-only; see internal/faultinject. Must be safe for concurrent
-	// calls when Threads > 1.
+	// Under a hook every site also polls the stop conditions, so a
+	// cancellation lands at the next site (tle.Stopper.Site). Test-only;
+	// see internal/faultinject. Must be safe for concurrent calls when
+	// Threads > 1.
 	FaultHook func(site string) error
 	// Metrics, if non-nil, gathers the instrumentation behind Figures 4,
 	// 5 and 10 (CG-size histogram, inside/outside-CG vertex accesses,
@@ -331,7 +333,14 @@ type Metrics struct {
 	// computational subgraph (Fig. 5).
 	AccessesInsideCG  int64
 	AccessesOutsideCG int64
-	// SetIntersections counts pairwise set-intersection operations.
+	// SetIntersections counts pairwise set-intersection operations. The
+	// list procedures count one per pair of vertex lists intersected. The
+	// bitwise procedure counts, per child, one for forming L_q, one per
+	// column AND of its maximality check (an AND of the excluded index set
+	// with the column of one bit of L_q; the check stops once the set is
+	// empty), and one per remaining candidate that a maximal child
+	// classifies into R_q / C_q or a non-maximal child's pruning sweep
+	// tests.
 	SetIntersections int64
 	// CGHist is a log₂-bucketed joint histogram of (|L|, |C|) over all
 	// nodes entered (Fig. 4): CGHist[i][j] counts nodes with

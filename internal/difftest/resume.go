@@ -97,14 +97,20 @@ func runSpooledOnce(g *graph.Bipartite, c Config, dir string, resume bool, cance
 		Resume: resume,
 		Every:  -1, // checkpoints only at Finish: deterministic resume points
 	}
+	opts := core.Options{Tau: c.Tau, Threads: c.Threads, Context: ctx}
 	if cancelAfter > 0 {
 		sp.Wrap = func(inner core.Sink) core.Sink {
 			cs := &cancelSink{inner: inner, cancel: cancel}
 			cs.remaining.Store(cancelAfter)
 			return cs
 		}
+		// A fault hook makes every instrumentation site a stop-poll point
+		// (tle.Stopper.Site), so the cancellation lands at the next site
+		// even when the rest of the run is shorter than the engines'
+		// amortized check quantum.
+		opts.FaultHook = func(string) error { return nil }
 	}
-	res, _, err := engine.RunSpooled(plan, c.Engine, core.Options{Tau: c.Tau, Threads: c.Threads, Context: ctx}, sp)
+	res, _, err := engine.RunSpooled(plan, c.Engine, opts, sp)
 	if err != nil {
 		return false, fmt.Errorf("difftest: %s: %w", c, err)
 	}

@@ -159,25 +159,32 @@ func TestResumeDenseSubtrees(t *testing.T) {
 }
 
 // TestResumeRepeatedInterrupts chains several interrupts on one spool —
-// the "flaky node" scenario — and still requires exact equality.
+// the "flaky node" scenario — and still requires exact equality. Every
+// engine must take every interrupt: five interrupted attempts and the
+// final one, so each resume starts from a spool that an earlier resume
+// wrote.
 func TestResumeRepeatedInterrupts(t *testing.T) {
 	g := gen.Uniform(3, 70, 35, 300)
 	oracle, err := Run(g, Config{Engine: EngAda, Order: order.DegreeAscending, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	interrupts := []int64{1, 3, 10, 50, 100}
 	for _, c := range []Config{
 		{Engine: EngAda, Order: order.DegreeAscending, Threads: 1},
 		{Engine: EngParAda, Order: order.DegreeAscending, Threads: 8},
 		{Engine: EngBBK, Order: order.DegreeAscending, Threads: 1},
 		{Engine: EngBaseline, Order: order.DegreeAscending, Threads: 1},
 	} {
-		res, err := RunSpooled(g, c, t.TempDir(), []int64{1, 3, 10, 50, 100})
+		res, err := RunSpooled(g, c, t.TempDir(), interrupts)
 		if err != nil {
 			t.Fatalf("[%s] %v", c, err)
 		}
 		if !res.Digest.Equal(oracle) {
 			t.Errorf("[%s] after %d attempts: digest %s != oracle %s", c, res.Attempts, res.Digest, oracle)
+		}
+		if want := len(interrupts) + 1; res.Attempts != want {
+			t.Errorf("[%s] took %d attempts, want %d: an interrupt did not land", c, res.Attempts, want)
 		}
 	}
 }

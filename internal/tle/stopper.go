@@ -179,6 +179,27 @@ func (s *Stopper) Poll() bool {
 	return s.poll()
 }
 
+// Site runs an engine's test fault hook at an instrumentation site; a nil
+// hook costs one branch. An error from the hook simulates a failed
+// allocation: the worker stops as if the memory budget were exhausted.
+// Otherwise the site is also a stop-poll point, so a run under a hook
+// observes a cancellation or deadline at its next site instead of up to
+// CheckEvery nodes later: interrupt tests land every interrupt they
+// schedule, even on runs shorter than one quantum.
+func (s *Stopper) Site(hook func(site string) error, site string) {
+	if hook != nil { // small enough to inline: no call without a hook
+		s.runHook(hook, site)
+	}
+}
+
+func (s *Stopper) runHook(hook func(site string) error, site string) {
+	if err := hook(site); err != nil {
+		s.fail(MemoryExceeded)
+		return
+	}
+	s.Poll()
+}
+
 // fail records r locally and publishes it to the run.
 func (s *Stopper) fail(r Reason) {
 	s.reason = r

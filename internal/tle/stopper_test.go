@@ -160,3 +160,32 @@ func TestReasonStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestStopperSite pins the fault-site contract: a nil hook does nothing,
+// a hook error fails the worker with MemoryExceeded, and a site under a
+// hook polls at once, observing a cancellation the amortized Hit would
+// only see up to CheckEvery hits later.
+func TestStopperSite(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	s := NewStopper(&Shared{}, Config{Context: ctx})
+	if s.Hit() { // first poll: context live; the next is CheckEvery hits away
+		t.Fatal("stopped before cancel")
+	}
+	cancel()
+	s.Site(nil, "site")
+	if s.Stopped() {
+		t.Fatal("a nil hook polled")
+	}
+	visits := 0
+	s.Site(func(string) error { visits++; return nil }, "site")
+	if visits != 1 || s.Reason() != Canceled {
+		t.Fatalf("after a site under a hook: %d visits, Reason = %v, want 1, Canceled", visits, s.Reason())
+	}
+
+	shared := &Shared{}
+	s = NewStopper(shared, Config{})
+	s.Site(func(string) error { return context.DeadlineExceeded }, "site")
+	if s.Reason() != MemoryExceeded || shared.Reason() != MemoryExceeded {
+		t.Fatalf("hook error: Reason = %v, shared %v, want MemoryExceeded", s.Reason(), shared.Reason())
+	}
+}
